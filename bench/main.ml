@@ -783,7 +783,12 @@ let fleet_rows () =
                                       against a 100 ms deadline) picks the
                                       same regime as an oracle that
                                       actually ran both and compared
-                                      measured times *)
+                                      measured times
+     giant/cote-abort-ms            — median ms of the budgeted
+                                      Predict.compile_time on the corpus
+                                      queries whose estimate aborts: what
+                                      a spanning-tree request pays before
+                                      its compile starts *)
 let giant_rows () =
   let env = serial in
   let budget = O.Budget.make ~max_memo_entries:5_000 ~max_kept_plans:20_000 () in
@@ -846,12 +851,26 @@ let giant_rows () =
       0 corpus
   in
   let accuracy = 100.0 *. float_of_int correct /. float_of_int (List.length corpus) in
+  let abort_ms =
+    List.filter_map
+      (fun (q : W.Workload.query) ->
+        let aborts () =
+          match Cote.Predict.compile_time ~budget ~model env q.W.Workload.block with
+          | _ -> false
+          | exception O.Budget.Exceeded _ -> true
+        in
+        match Qopt_util.Timer.time_median ~repeats:5 aborts with
+        | true, s -> Some (s *. 1e3)
+        | false, _ -> None)
+      corpus
+  in
   let rows =
     [
       ("giant/compile-dp-n20", dp_n20_s *. 1e3);
       ("giant/compile-greedy-n50", greedy_n50_s *. 1e3);
       ("giant/dp-n50-budget-exceeded", blown);
       ("giant/regime-decision-accuracy", accuracy);
+      ("giant/cote-abort-ms", Qopt_util.Stats.median abort_ms);
     ]
   in
   Format.printf

@@ -15,6 +15,9 @@ let m_elapsed_s = Obs.Registry.histogram Obs.Registry.default "estimator.elapsed
 
 let m_overhead = Obs.Registry.gauge Obs.Registry.default "estimator.overhead_pct"
 
+let m_precheck_aborts =
+  Obs.Registry.counter Obs.Registry.default "estimator.budget_precheck_aborts"
+
 (* The headline COTE claim: estimation must be a tiny fraction of full
    compilation.  Estimation seconds over compile seconds, cumulated across
    the process — meaningful once both have run at least once. *)
@@ -118,9 +121,41 @@ let of_pass ~n_views (memo, acc) =
     mv_tests = O.Memo.n_entries memo * n_views;
   }
 
+(* The structural dry run behind a MEMO-entry cap: the same enumerator
+   with no consumer work and [card_of] at infinity.  Every enumerator gate
+   but the card-1 Cartesian escape is structural, and that escape only adds
+   joins; infinite cardinalities turn it off, so the dry run creates a
+   subset of the entries the real first pass creates.  Crossing the cap
+   here therefore proves the real pass crosses it too, and the dry run
+   raises what the real pass would have raised for an entry-only budget
+   (entries grow one at a time, so the first crossing reads [cap + 1]).
+   A block with [2^n - 1 <= cap] subsets cannot cross the cap at all (the
+   shift would overflow past [Sys.int_size - 2] quantifiers). *)
+let precheck ~knobs ~cap block =
+  let n = O.Query_block.n_quantifiers block in
+  if n >= Sys.int_size - 1 || (1 lsl n) - 1 > cap then begin
+    let memo = O.Memo.create block in
+    let entries_only = O.Budget.make ~max_memo_entries:cap () in
+    let on_entry _ =
+      let entries = O.Memo.n_entries memo in
+      if entries > cap then begin
+        Obs.Counter.incr m_precheck_aborts;
+        O.Budget.check entries_only ~entries ~kept:0
+      end
+    in
+    O.Enumerator.run ~knobs
+      ~card_of:(fun _ -> infinity)
+      memo
+      { O.Enumerator.on_entry; on_join = ignore }
+  end
+
 let estimate_block ?options ?budget ~knobs ~n_views env block =
   let passes, elapsed =
     Timer.time (fun () ->
+        (match budget with
+        | Some { O.Budget.max_memo_entries = Some cap; _ } ->
+          precheck ~knobs ~cap block
+        | Some _ | None -> ());
         let first = run_block ?options ?budget ~knobs env block in
         (* Mirror the optimizer's permissive fallback when the knobs leave
            the top table set unreachable. *)

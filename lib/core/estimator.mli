@@ -41,4 +41,18 @@ val estimate :
     caps a real compile: the estimate-mode enumerator builds the same MEMO
     entries the optimizer would, so a giant clique explodes here too.
     Crossing a cap raises {!O.Budget.Exceeded} — which doubles as the
-    cheapest possible "DP is infeasible" signal for regime selection. *)
+    cheapest possible "DP is infeasible" signal for regime selection.
+
+    Under a MEMO-entry cap each block whose [2^n - 1] subsets exceed the
+    cap first gets a structural dry run: the same {!O.Enumerator.run}
+    with caller's knobs, a no-op consumer and [card_of] at infinity,
+    stopped as soon as the MEMO passes the cap.  Every enumerator gate but
+    the card-1 Cartesian escape is structural; that escape only adds joins
+    and infinite cardinalities switch it off, so the dry run builds a
+    subset of the real pass's entries.  A dry-run blowup therefore proves
+    a real one, and raises what the real pass would raise for an
+    entry-only cap ([memo_entries], reached [cap + 1]) at a fraction of
+    its cost; it counts in [estimator.budget_precheck_aborts].  With a
+    kept-plan cap too, such a blowup is reported as [memo_entries] even
+    where the full pass would have crossed the kept-plan cap first.  When
+    the dry run stays under the cap the real pass runs unchanged. *)

@@ -10,6 +10,12 @@
     structured {!Exceeded} instead of OOMing, so the caller can fall back
     to the polynomial spanning-tree regime mid-compile.
 
+    The estimator decides an entry-cap blowup before its estimate pass:
+    a dry run of the enumerator with no consumer work and the card-1
+    Cartesian escape switched off builds a subset of the real pass's
+    entries, so crossing the cap there proves the real pass would cross
+    it too (see [Cote.Estimator.estimate]).
+
     [max_predicted_s] is the third cap of the family: it is not enforced
     during enumeration (a prediction exists before the pass starts) but by
     the regime-selection policy, which treats a DP prediction above it as

@@ -10,6 +10,8 @@ type scope = {
   schema : C.Schema.t;
   quants : (string * C.Table.t) array;  (** alias, table — indexed by q id *)
   parent : scope option;
+  colrefs : (string * O.Colref.t) list array;
+      (** per q id: (column name as written, its one shared colref) *)
 }
 
 type resolved =
@@ -17,6 +19,18 @@ type resolved =
   | Outer of int  (** levels up, for correlation detection *)
 
 let table_of scope q = snd scope.quants.(q)
+
+(* Every mention of a column in a scope resolves to one physical colref,
+   so predicates, orders and the plans built from them share it instead of
+   holding a copy per mention.  Colrefs are immutable and compared
+   structurally, so the sharing changes memory only. *)
+let intern_colref scope q name =
+  match List.assoc_opt name scope.colrefs.(q) with
+  | Some c -> c
+  | None ->
+    let c = O.Colref.make q name in
+    scope.colrefs.(q) <- (name, c) :: scope.colrefs.(q);
+    c
 
 let rec resolve ?(depth = 0) scope (c : Ast.col) =
   let here =
@@ -34,7 +48,7 @@ let rec resolve ?(depth = 0) scope (c : Ast.col) =
       Option.map
         (fun q ->
           if C.Table.mem_column (table_of scope q) c.Ast.c_name then
-            O.Colref.make q c.Ast.c_name
+            intern_colref scope q c.Ast.c_name
           else
             errorf "column %s.%s does not exist" qualifier c.Ast.c_name)
         !found
@@ -47,7 +61,7 @@ let rec resolve ?(depth = 0) scope (c : Ast.col) =
             | None -> found := Some i
             | Some _ -> errorf "ambiguous column %s" c.Ast.c_name)
         scope.quants;
-      Option.map (fun q -> O.Colref.make q c.Ast.c_name) !found
+      Option.map (fun q -> intern_colref scope q c.Ast.c_name) !found
   in
   match here with
   | Some colref -> if depth = 0 then Here colref else Outer depth
@@ -98,7 +112,14 @@ let rec bind_select ~name scope_parent schema (s : Ast.select) =
                table ))
          table_refs)
   in
-  let scope = { schema; quants; parent = scope_parent } in
+  let scope =
+    {
+      schema;
+      quants;
+      parent = scope_parent;
+      colrefs = Array.make (Array.length quants) [];
+    }
+  in
   let preds = ref [] in
   let children = ref [] in
   let blocked_outer = ref Bitset.empty in

@@ -367,5 +367,197 @@ let regime_tests =
           (Cote.Regime.of_string "bogus" = None));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Budget pre-check: the estimator's structural dry run                *)
+(* ------------------------------------------------------------------ *)
+
+let precheck_aborts () =
+  Qopt_obs.Counter.value
+    (Qopt_obs.Registry.counter Qopt_obs.Registry.default
+       "estimator.budget_precheck_aborts")
+
+(* The oracle for an entry-only cap: the budgeted estimate raises exactly
+   when the unbudgeted estimate pass builds more entries than the cap, and
+   it raises what the full pass would have raised.  The cap applies per
+   block while [entries] sums over children, so blocks are checked one at
+   a time. *)
+let entry_cap_agrees ?(knobs = O.Knobs.default) block cap =
+  let block = { block with O.Query_block.children = [] } in
+  let unbudgeted = (Cote.Estimator.estimate ~knobs env block).Cote.Estimator.entries in
+  let budget = O.Budget.make ~max_memo_entries:cap () in
+  match Cote.Estimator.estimate ~knobs ~budget env block with
+  | exception O.Budget.Exceeded b ->
+    unbudgeted > cap
+    && b = { O.Budget.b_what = "memo_entries"; b_limit = cap; b_reached = cap + 1 }
+  | _ -> unbudgeted <= cap
+
+let precheck_shapes =
+  [
+    (W.Giant.Star, 12);
+    (W.Giant.Clique, 10);
+    (W.Giant.Snowflake 6, 14);
+    (W.Giant.Chain, 20);
+    (W.Giant.Cycle, 20);
+  ]
+
+let entry_caps = [ 30; 100; 600 ]
+
+let warehouse_blocks () =
+  List.concat_map
+    (fun (wl : W.Workload.t) ->
+      List.concat_map
+        (fun (q : W.Workload.query) ->
+          let blocks = ref [] in
+          O.Query_block.iter_blocks
+            (fun b -> blocks := b :: !blocks)
+            q.W.Workload.block;
+          !blocks)
+        wl.W.Workload.queries)
+    [
+      W.Warehouse.real1_w ~partitioned:false;
+      W.Warehouse.real2_w ~partitioned:true;
+    ]
+
+(* A connected random join graph: a random spanning tree on j1 plus extra
+   j2 edges, with the odd one-row table so the card-1 Cartesian escape —
+   the one gate the dry run turns off — gets exercised. *)
+let gen_connected =
+  QCheck2.Gen.(
+    let* n = int_range 3 12 in
+    let* parents = flatten_l (List.init (n - 1) (fun i -> int_range 0 i)) in
+    let* extra = small_list (pair (int_range 0 (n - 1)) (int_range 0 (n - 1))) in
+    let* one_row = list_repeat n (int_range 0 7) in
+    let* knobs =
+      oneofl
+        [
+          O.Knobs.default;
+          O.Knobs.full_bushy;
+          O.Knobs.left_deep;
+          { O.Knobs.default with O.Knobs.max_inner = Some 2 };
+        ]
+    in
+    let* cap = oneofl entry_caps in
+    return (n, parents, extra, one_row, knobs, cap))
+
+let block_of_connected (_, parents, extra, one_row, _, _) =
+  let quantifiers =
+    List.mapi
+      (fun i r ->
+        let rows = if r = 0 then 1.0 else 100.0 *. float_of_int (i + 1) in
+        O.Quantifier.make i (Helpers.table ~rows (Printf.sprintf "r%d" i)))
+      one_row
+  in
+  let cr = O.Colref.make in
+  let tree =
+    List.mapi (fun i p -> O.Pred.Eq_join (cr p "j1", cr (i + 1) "j1")) parents
+  in
+  let extra =
+    List.filter_map
+      (fun (a, b) ->
+        if a <> b then
+          Some (O.Pred.Eq_join (cr (min a b) "j2", cr (max a b) "j2"))
+        else None)
+      extra
+  in
+  O.Query_block.make ~name:"connected" ~quantifiers ~preds:(tree @ extra) ()
+
+let precheck_tests =
+  [
+    t "entry caps: the budgeted estimate raises iff the MEMO outgrows the cap"
+      (fun () ->
+        List.iter
+          (fun (shape, n) ->
+            List.iter
+              (fun cap ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s/%d cap %d" (W.Giant.shape_name shape) n cap)
+                  true
+                  (entry_cap_agrees (W.Giant.block shape n) cap))
+              entry_caps)
+          precheck_shapes;
+        List.iter
+          (fun b ->
+            List.iter
+              (fun cap ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s cap %d" b.O.Query_block.name cap)
+                  true (entry_cap_agrees b cap))
+              entry_caps)
+          (warehouse_blocks ()));
+    t "the dry run decides the blown giant shapes, with the full pass's error"
+      (fun () ->
+        Qopt_obs.Control.with_enabled true (fun () ->
+            let b = W.Giant.block W.Giant.Star 12 in
+            let before = precheck_aborts () in
+            (match
+               Cote.Estimator.estimate
+                 ~budget:(O.Budget.make ~max_memo_entries:600 ())
+                 env b
+             with
+            | exception O.Budget.Exceeded blown ->
+              Alcotest.(check string) "error" "budget exceeded: memo_entries 601 > 600"
+                (Format.asprintf "%a" O.Budget.pp_blown blown)
+            | _ -> Alcotest.fail "expected Budget.Exceeded");
+            Alcotest.(check int) "decided by the dry run" (before + 1)
+              (precheck_aborts ());
+            (* Under the cap the dry run stays silent and the estimate is
+               the unbudgeted one. *)
+            let chain = W.Giant.block W.Giant.Chain 20 in
+            let before = precheck_aborts () in
+            let budgeted =
+              Cote.Estimator.estimate
+                ~budget:(O.Budget.make ~max_memo_entries:600 ())
+                env chain
+            in
+            let plain = Cote.Estimator.estimate env chain in
+            Alcotest.(check int) "no dry-run abort" before (precheck_aborts ());
+            Alcotest.(check int) "entries" plain.Cote.Estimator.entries
+              budgeted.Cote.Estimator.entries;
+            Alcotest.(check int) "nljn" plain.Cote.Estimator.nljn
+              budgeted.Cote.Estimator.nljn;
+            Alcotest.(check (float 0.0)) "memo plans"
+              plain.Cote.Estimator.est_memo_plans
+              budgeted.Cote.Estimator.est_memo_plans));
+    t "entry+kept caps: whenever the dry run crosses, the estimate raises"
+      (fun () ->
+        Qopt_obs.Control.with_enabled true (fun () ->
+            let decided = ref 0 in
+            List.iter
+              (fun (shape, n) ->
+                let b = W.Giant.block shape n in
+                let unbudgeted = (Cote.Estimator.estimate env b).Cote.Estimator.entries in
+                List.iter
+                  (fun (cap, kept) ->
+                    let name =
+                      Printf.sprintf "%s/%d cap %d kept %d"
+                        (W.Giant.shape_name shape) n cap kept
+                    in
+                    let budget =
+                      O.Budget.make ~max_memo_entries:cap ~max_kept_plans:kept ()
+                    in
+                    let before = precheck_aborts () in
+                    match Cote.Estimator.estimate ~budget env b with
+                    | exception O.Budget.Exceeded blown ->
+                      if precheck_aborts () > before then begin
+                        incr decided;
+                        Alcotest.(check string) (name ^ " what") "memo_entries"
+                          blown.O.Budget.b_what;
+                        Alcotest.(check int) (name ^ " reached") (cap + 1)
+                          blown.O.Budget.b_reached
+                      end
+                    | _ ->
+                      Alcotest.(check bool) (name ^ " dry run silent") true
+                        (precheck_aborts () = before);
+                      Alcotest.(check bool) (name ^ " within the entry cap")
+                        true (unbudgeted <= cap))
+                  [ (30, 1); (100, 50); (600, 1_000_000); (600, 20) ])
+              precheck_shapes;
+            Alcotest.(check bool) "the dry run decided some" true (!decided > 0)));
+    prop "random connected graphs: raises iff the MEMO outgrows the cap"
+      ~count:40 gen_connected (fun ((_, _, _, _, knobs, cap) as g) ->
+        entry_cap_agrees ~knobs (block_of_connected g) cap);
+  ]
+
 let suite =
-  generator_tests @ fallback_tests @ budget_tests @ regime_tests
+  generator_tests @ fallback_tests @ budget_tests @ precheck_tests
+  @ regime_tests

@@ -1350,14 +1350,22 @@ let giant_clique_sql n =
   "SELECT g0.v1 FROM " ^ String.concat ", " tables ^ " WHERE "
   ^ String.concat " AND " !joins
 
-let with_budgeted_server ?(trust_hints = false) f =
+let giant_star_sql n =
+  let tables = List.init n (fun i -> Printf.sprintf "g%d" i) in
+  let joins =
+    List.init (n - 1) (fun i -> Printf.sprintf "g0.j1 = g%d.j1" (i + 1))
+  in
+  "SELECT g0.v1 FROM " ^ String.concat ", " tables ^ " WHERE "
+  ^ String.concat " AND " joins
+
+let with_budgeted_server ?(trust_hints = false) ?(max_memo_entries = 500) f =
   with_server
     ~configure:(fun c ->
       {
         c with
         Srv.Server.schemas =
           c.Srv.Server.schemas @ [ ("giant", giant_schema) ];
-        budget = O.Budget.make ~max_memo_entries:500 ();
+        budget = O.Budget.make ~max_memo_entries ();
         trust_hints;
       })
     f
@@ -1469,6 +1477,47 @@ let giant_regime_tests =
                   (b.Srv.Proto.c_plan <> None);
                 Alcotest.(check bool) "cost is finite" true
                   (Float.is_finite b.Srv.Proto.c_cost))));
+    t "a 30-table star: the dry run routes it greedy, estimate still errors"
+      (fun () ->
+        (* The estimator's dry run proves the blowup before the COTE pass;
+           the regime and the estimate error are the ones the full pass
+           gives. *)
+        with_budgeted_server ~max_memo_entries:600 (fun addr ->
+            let c = Srv.Client.connect addr in
+            Fun.protect
+              ~finally:(fun () -> Srv.Client.close c)
+              (fun () ->
+                let aborts () =
+                  match
+                    request_exn c (Srv.Proto.Stats { id = Srv.Client.fresh_id c })
+                  with
+                  | Srv.Proto.R_stats (_, doc) ->
+                    let ( >>= ) = Option.bind in
+                    J.member "metrics" doc >>= J.member "counters"
+                    >>= J.member "estimator.budget_precheck_aborts"
+                    >>= J.get_int
+                    |> Option.value ~default:0
+                  | _ -> Alcotest.fail "expected stats reply"
+                in
+                let before = aborts () in
+                let sql = giant_star_sql 30 in
+                let b = compile_regime c sql in
+                Alcotest.(check string) "regime" "greedy" b.Srv.Proto.c_regime;
+                Alcotest.(check bool) "a plan came back" true
+                  (b.Srv.Proto.c_plan <> None);
+                let id = Srv.Client.fresh_id c in
+                (match
+                   request_exn c
+                     (Srv.Proto.Estimate { id; sql; schema = Some "giant" })
+                 with
+                | Srv.Proto.R_error { message; _ } ->
+                  Alcotest.(check string) "estimate error"
+                    "budget exceeded: memo_entries 601 > 600" message
+                | r ->
+                  Alcotest.failf "expected an error reply, got %s"
+                    (J.to_string (Srv.Proto.reply_to_json r)));
+                Alcotest.(check bool) "both decided by the dry run" true
+                  (aborts () >= before + 2))));
     t "a trusted hint that blows the budget mid-compile is rescued" (fun () ->
         (* --trust-hints skips the local budgeted estimate, so the job
            enters as DP and hits the cap inside the worker: the reply must

@@ -191,6 +191,41 @@ let binder_tests =
           Alcotest.(check bool) "tables = {0}" true (Bitset.equal ts (Bitset.singleton 0));
           Alcotest.(check bool) "sel" true (sel > 0.0 && sel < 1.0)
         | _ -> Alcotest.fail "expected Expensive filter");
+    t "a clique's join columns are physically shared" (fun () ->
+        (* Each column of a 6-table clique appears in 5 Eq_joins (and g0.j1
+           in the ORDER BY too); the binder hands out one colref per
+           (quantifier, column), so equal sides are the same value. *)
+        let n = 6 in
+        let tables = List.init n (Printf.sprintf "g%d") in
+        let joins =
+          List.concat
+            (List.init n (fun i ->
+                 List.init (n - i - 1) (fun k ->
+                     Printf.sprintf "g%d.j1 = g%d.j1" i (i + k + 1))))
+        in
+        let b =
+          Sql.Binder.parse_and_bind (Qopt_workloads.Giant.schema ())
+            ("SELECT g0.v1 FROM " ^ String.concat ", " tables ^ " WHERE "
+            ^ String.concat " AND " joins ^ " ORDER BY g0.j1")
+        in
+        let sides =
+          b.O.Query_block.order_by
+          @ List.concat_map
+              (function O.Pred.Eq_join (l, r) -> [ l; r ] | _ -> [])
+              b.O.Query_block.preds
+        in
+        Alcotest.(check int) "every side collected" ((n * (n - 1)) + 1)
+          (List.length sides);
+        List.iter
+          (fun a ->
+            List.iter
+              (fun c ->
+                if O.Colref.equal a c then
+                  Alcotest.(check bool)
+                    (Format.asprintf "%a shared" O.Colref.pp a)
+                    true (a == c))
+              sides)
+          sides);
     t "select list validated" (fun () ->
         try
           ignore (bind "SELECT emp.nothere FROM emp, dept WHERE emp.dept_id = dept.id");
