@@ -789,6 +789,15 @@ let fleet_rows () =
                                       queries whose estimate aborts: what
                                       a spanning-tree request pays before
                                       its compile starts *)
+(* Fig. 2's headline shares on real2_s.  The paper's premise is that
+   generating and saving join plans dominates compile time; a speed-up
+   that caches away the per-plan cost work would show here first. *)
+let fig2_rows () =
+  let gen_save, other = E.Fig2.shares () in
+  let rows = [ ("fig2/plan-gen-save-pct", gen_save); ("fig2/other-pct", other) ] in
+  List.iter (fun (name, v) -> Format.printf "%-36s %16.2f@." name v) rows;
+  rows
+
 let giant_rows () =
   let env = serial in
   let budget = O.Budget.make ~max_memo_entries:5_000 ~max_kept_plans:20_000 () in
@@ -936,6 +945,8 @@ let () =
   let rows = rows @ recalib_rows () in
   Format.printf "@.";
   let rows = rows @ fleet_rows () in
+  Format.printf "@.";
+  let rows = rows @ fig2_rows () in
   Format.printf "@.";
   let rows = rows @ giant_rows () in
   Format.printf "@.";

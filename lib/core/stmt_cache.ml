@@ -22,9 +22,11 @@ let update_hit_rate () =
    independently locked tables, so concurrent domains only serialize when
    they touch the same stripe.  Each stripe keeps its own hit/miss tallies
    (summed on read) — a cross-stripe total would need a second shared
-   cell, which is exactly the contention the stripes exist to remove. *)
+   cell, which is exactly the contention the stripes exist to remove.
+   A key is (tag, shape): the shape is the caller's key string — shared
+   with the caller, never copied — or the block's {!signature}. *)
 type stripe = {
-  tbl : (string, float) Hashtbl.t;
+  tbl : (string option * string, float) Hashtbl.t;
   mutable s_hits : int;
   mutable s_misses : int;
   lock : Obs.Lock.t option;
@@ -122,16 +124,14 @@ let pred_signature = pred_sig
    compiled under the same conditions: the optional tag (the server passes
    the chosen optimization level) partitions the key space so an elapsed
    measured at a downgraded level never refines a full-level estimate. *)
-let key_of ?tag block =
-  match tag with
-  | None -> signature block
-  | Some tag -> tag ^ "#" ^ signature block
+let key_of ?tag ?key block =
+  (tag, match key with Some k -> k | None -> signature block)
 
-let lookup t ?tag block =
+let lookup t ?tag ?key block =
   (* The signature is pure over the block; compute it (and the stripe
      choice) outside the lock so concurrent lookups serialize only on
      their stripe's table probe and bookkeeping. *)
-  let key = key_of ?tag block in
+  let key = key_of ?tag ?key block in
   let s = stripe_of t key in
   with_stripe s (fun () ->
       match Hashtbl.find_opt s.tbl key with
@@ -151,8 +151,8 @@ let lookup t ?tag block =
    The server's evaluation path and the fleet router's routing estimate
    share this rule, so "estimate once, refine from observed actuals"
    means the same thing at both layers. *)
-let refine t ?tag block ~model_s =
-  match lookup t ?tag block with
+let refine t ?tag ?key block ~model_s =
+  match lookup t ?tag ?key block with
   | Some seconds -> seconds
   | None -> model_s
 
@@ -161,8 +161,8 @@ let size_unmerged t =
     (fun acc s -> acc + with_stripe s (fun () -> Hashtbl.length s.tbl))
     0 t.stripes
 
-let record t ?tag block seconds =
-  let key = key_of ?tag block in
+let record t ?tag ?key block seconds =
+  let key = key_of ?tag ?key block in
   let s = stripe_of t key in
   with_stripe s (fun () -> Hashtbl.replace s.tbl key seconds);
   (* The size gauge sweeps every stripe; set it outside any stripe lock so

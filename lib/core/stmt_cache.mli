@@ -41,17 +41,23 @@ val pred_signature : O.Query_block.t -> O.Pred.t -> string
     predicate parameters are identity), the per-predicate building block
     of {!signature} — also the envelope labels of {!Plan_cache}. *)
 
-val lookup : t -> ?tag:string -> O.Query_block.t -> float option
+val lookup : t -> ?tag:string -> ?key:string -> O.Query_block.t -> float option
 (** Recorded compile time for a structurally identical query, if any.
     [?tag] partitions the key space (the server tags with the chosen
     optimization level, so an actual measured at a downgraded level never
-    serves a full-level request). *)
+    serves a full-level request).  [?key] replaces the block's
+    {!signature} as the shape key: a caller that already holds a key at
+    least as fine — the server passes the request's schema-qualified
+    template key, the plan cache's key — saves rendering the signature,
+    and the cache holds the caller's string instead of a copy.  A cache
+    should be keyed one way throughout. *)
 
-val record : t -> ?tag:string -> O.Query_block.t -> float -> unit
+val record : t -> ?tag:string -> ?key:string -> O.Query_block.t -> float -> unit
 (** Store a measured compile time under the same optional [?tag]
-    partition as {!lookup}. *)
+    partition and [?key] as {!lookup}. *)
 
-val refine : t -> ?tag:string -> O.Query_block.t -> model_s:float -> float
+val refine :
+  t -> ?tag:string -> ?key:string -> O.Query_block.t -> model_s:float -> float
 (** [refine t block ~model_s]: the recorded actual for a structurally
     identical query when one exists, [model_s] otherwise — the
     estimate-refinement rule shared by the compile server's admission

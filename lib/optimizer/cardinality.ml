@@ -40,14 +40,25 @@ let local_selectivity mode block p =
     let frac = float_of_int n /. Float.max 1.0 col.Column.distinct in
     Float.min (match mode with Full -> 1.0 | Simple -> 0.5) frac
 
-let join_selectivity mode block p =
+(* [Histogram.sel_join] of a join predicate's two columns: the O(buckets^2)
+   read that both the cardinality model and the join cost context need. *)
+let raw_join_selectivity block p =
+  match Pred.join_cols p with
+  | None -> 1.0
+  | Some (l, r) ->
+    Histogram.sel_join (column block l).Column.histogram
+      (column block r).Column.histogram
+
+(* Selectivity of an equality join predicate given its raw histogram
+   estimate (only [Full] reads it). *)
+let join_selectivity mode block p ~raw =
   match Pred.join_cols p with
   | None -> 1.0
   | Some (l, r) -> begin
     let cl = column block l and cr = column block r in
     match mode with
     | Full ->
-      let sel = Histogram.sel_join cl.Column.histogram cr.Column.histogram in
+      let sel = raw () in
       (* Unique-key clamp: a join into a key column returns at most one match
          per probing row. *)
       let key_side_rows =
@@ -76,61 +87,138 @@ let join_selectivity mode block p =
    apply it — it is a predicate-level rule, not a key/FD adjustment — so the
    two models stay close enough that the card-1 Cartesian heuristic only
    occasionally disagrees between them (the paper's -2%..24% HSJN error). *)
-let combined_join_selectivity mode block preds =
-  match mode with
-  | Simple | Full ->
-    let module Pair_map = Map.Make (struct
-      type t = int * int
+let backoff sels =
+  let sorted = List.sort Float.compare sels in
+  let _, product =
+    List.fold_left
+      (fun (i, acc) sel -> (i + 1, acc *. (sel ** (1.0 /. (2.0 ** float_of_int i)))))
+      (0, 1.0) sorted
+  in
+  product
 
-      let compare = compare
-    end) in
-    let by_pair =
+(* ------------------------------------------------------------------ *)
+(* The per-MEMO selectivity context                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every slot starts as NaN ("not yet computed") and is filled on first
+   use.  No model output is NaN, and one that were would merely be
+   recomputed on each read, so the sentinel never changes a value. *)
+type ctx = {
+  c_mode : mode;
+  c_block : Query_block.t;
+  c_n : int;
+  c_preds : Pred.t array;  (* [preds] by index *)
+  c_locals : (int * Bitset.t) array;
+      (* non-join predicates, in list order: index and quantifiers *)
+  c_local : float array;  (* per predicate: local selectivity *)
+  c_raw : float array;  (* per predicate: [Histogram.sel_join] *)
+  c_pair : float array;  (* per pair [a * n + b], a < b: back-off product *)
+  c_hit : float array;  (* per quantifier: index-probe buffer-hit ratio *)
+  c_skew : float array;  (* per predicate: parallel skew of its left column *)
+}
+
+let context mode block =
+  let preds = Array.of_list block.Query_block.preds in
+  let n = Query_block.n_quantifiers block in
+  let locals = ref [] in
+  Array.iteri
+    (fun i p -> if not (Pred.is_join p) then locals := (i, Pred.tables p) :: !locals)
+    preds;
+  {
+    c_mode = mode;
+    c_block = block;
+    c_n = n;
+    c_preds = preds;
+    c_locals = Array.of_list (List.rev !locals);
+    c_local = Array.make (Array.length preds) Float.nan;
+    c_raw = Array.make (Array.length preds) Float.nan;
+    c_pair = Array.make (n * n) Float.nan;
+    c_hit = Array.make n Float.nan;
+    c_skew = Array.make (Array.length preds) Float.nan;
+  }
+
+let ctx_mode c = c.c_mode
+
+let ctx_block c = c.c_block
+
+let local_sel c i =
+  let v = c.c_local.(i) in
+  if Float.is_nan v then begin
+    let v = local_selectivity c.c_mode c.c_block c.c_preds.(i) in
+    c.c_local.(i) <- v;
+    v
+  end
+  else v
+
+let raw_join_sel c i =
+  let v = c.c_raw.(i) in
+  if Float.is_nan v then begin
+    let v = raw_join_selectivity c.c_block c.c_preds.(i) in
+    c.c_raw.(i) <- v;
+    v
+  end
+  else v
+
+let raw_join_product c ids = List.fold_left (fun acc i -> acc *. raw_join_sel c i) 1.0 ids
+
+let pair_sel c a b =
+  let a, b = if a <= b then (a, b) else (b, a) in
+  let k = (a * c.c_n) + b in
+  let v = c.c_pair.(k) in
+  if Float.is_nan v then begin
+    let sels =
       List.fold_left
-        (fun acc p ->
-          match Pred.join_cols p with
-          | None -> acc
-          | Some (l, r) ->
-            let key =
-              if l.Colref.q <= r.Colref.q then (l.Colref.q, r.Colref.q)
-              else (r.Colref.q, l.Colref.q)
-            in
-            let sel = join_selectivity mode block p in
-            Pair_map.update key
-              (function None -> Some [ sel ] | Some sels -> Some (sel :: sels))
-              acc)
-        Pair_map.empty preds
+        (fun acc (i, p) ->
+          join_selectivity c.c_mode c.c_block p ~raw:(fun () -> raw_join_sel c i)
+          :: acc)
+        []
+        (Query_block.pair_preds c.c_block a b)
     in
-    Pair_map.fold
-      (fun _ sels acc ->
-        let sorted = List.sort Float.compare sels in
-        let _, product =
-          List.fold_left
-            (fun (i, acc) sel ->
-              (i + 1, acc *. (sel ** (1.0 /. (2.0 ** float_of_int i)))))
-            (0, 1.0) sorted
-        in
-        acc *. product)
-      by_pair 1.0
+    let v = backoff sels in
+    c.c_pair.(k) <- v;
+    v
+  end
+  else v
 
-let of_set mode block tables =
+let cost_input slots k compute =
+  let v = slots.(k) in
+  if Float.is_nan v then begin
+    let v = compute () in
+    slots.(k) <- v;
+    v
+  end
+  else v
+
+let probe_hit c q compute = cost_input c.c_hit q compute
+
+let join_skew c i compute = cost_input c.c_skew i compute
+
+(* The product order is the historical [of_set]'s, so every cardinality is
+   bit-identical to it: row counts by ascending quantifier, then local
+   selectivities in predicate-list order, then the per-pair back-off
+   products in ascending (a, b) order — each of the three a separate
+   product from 1.0. *)
+let card c tables =
+  let block = c.c_block in
   let base =
     Bitset.fold
       (fun q acc ->
         acc *. (Query_block.quantifier block q).Quantifier.table.Table.row_count)
       tables 1.0
   in
-  let locals =
-    List.fold_left
-      (fun acc p ->
-        if (not (Pred.is_join p)) && Pred.applicable_within p tables then
-          acc *. local_selectivity mode block p
-        else acc)
-      1.0 block.Query_block.preds
+  let locals = ref 1.0 in
+  Array.iter
+    (fun (i, ts) -> if Bitset.subset ts tables then locals := !locals *. local_sel c i)
+    c.c_locals;
+  let jsel =
+    Bitset.fold
+      (fun a acc ->
+        Bitset.fold
+          (fun b acc -> if b > a then acc *. pair_sel c a b else acc)
+          (Bitset.inter (Query_block.neighbors block a) tables)
+          acc)
+      tables 1.0
   in
-  let joins =
-    List.filter
-      (fun p -> Pred.is_join p && Pred.applicable_within p tables)
-      block.Query_block.preds
-  in
-  let jsel = combined_join_selectivity mode block joins in
-  Float.max 1e-6 (base *. locals *. jsel)
+  Float.max 1e-6 (base *. !locals *. jsel)
+
+let of_set mode block tables = card (context mode block) tables

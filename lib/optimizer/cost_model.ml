@@ -43,42 +43,53 @@ type join_ctx = {
   skew : float;
 }
 
-let join_context p block ~preds ~inner_card =
-  let sel =
-    List.fold_left
-      (fun acc pr ->
-        match Pred.join_cols pr with
-        | None -> acc
-        | Some (l, r) ->
-          let cl = Query_block.column block l and cr = Query_block.column block r in
-          acc *. Histogram.sel_join cl.Column.histogram cr.Column.histogram)
-      1.0 preds
+(* The most-loaded-node factor of hash-partitioning on a join column: the
+   equality share probed at bucket boundaries as a proxy for the heaviest
+   hash partition. *)
+let skew_of p block l =
+  let col = Query_block.column block l in
+  let h = col.Column.histogram in
+  let n = Histogram.bucket_count h in
+  let max_share = ref (1.0 /. float_of_int p.nodes) in
+  for i = 0 to n - 1 do
+    let v = float_of_int i *. (Histogram.distinct h /. float_of_int n) in
+    let share = Histogram.sel_eq h v in
+    if share > !max_share then max_share := share
+  done;
+  Float.min (float_of_int p.nodes) (!max_share *. float_of_int p.nodes)
+
+(* The first join predicate's left column, with its list index when [ids]
+   (parallel to [preds]) supplies one. *)
+let rec first_join preds ids =
+  match preds with
+  | [] -> None
+  | pr :: rest -> (
+    let i, ids = match ids with i :: ids -> (Some i, ids) | [] -> (None, []) in
+    match Pred.join_cols pr with
+    | Some (l, _) -> Some (l, i)
+    | None -> first_join rest ids)
+
+let join_context ?sel p block ~preds ~inner_card =
+  let jsel =
+    match sel with
+    | Some (c, ids) -> Cardinality.raw_join_product c ids
+    | None ->
+      List.fold_left
+        (fun acc pr -> acc *. Cardinality.raw_join_selectivity block pr)
+        1.0 preds
   in
   let skew =
     if p.nodes <= 1 then 1.0
     else
-      match
-        List.find_map
-          (fun pr ->
-            match Pred.join_cols pr with Some (l, _) -> Some l | None -> None)
-          preds
-      with
+      match first_join preds (match sel with Some (_, ids) -> ids | None -> []) with
       | None -> 1.0
-      | Some l ->
-        let col = Query_block.column block l in
-        let h = col.Column.histogram in
-        let n = Histogram.bucket_count h in
-        (* Probe the equality share at bucket boundaries as a proxy for the
-           heaviest hash partition. *)
-        let max_share = ref (1.0 /. float_of_int p.nodes) in
-        for i = 0 to n - 1 do
-          let v = float_of_int i *. (Histogram.distinct h /. float_of_int n) in
-          let share = Histogram.sel_eq h v in
-          if share > !max_share then max_share := share
-        done;
-        Float.min (float_of_int p.nodes) (!max_share *. float_of_int p.nodes)
+      | Some (l, i) -> (
+        let compute () = skew_of p block l in
+        match (sel, i) with
+        | Some (c, _), Some i -> Cardinality.join_skew c i compute
+        | _ -> compute ())
   in
-  { matches_per_outer = Float.max 1e-9 (sel *. inner_card); skew }
+  { matches_per_outer = Float.max 1e-9 (jsel *. inner_card); skew }
 
 (* ------------------------------------------------------------------ *)
 (* Detailed per-plan models                                            *)
@@ -169,7 +180,7 @@ let width_or block tables = function
 
 let table_pages (table : Table.t) = table.Table.page_count
 
-let inner_probe_cost p block ~preds ~inner_tables =
+let inner_probe_cost ?sel p block ~preds ~inner_tables =
   if Bitset.cardinal inner_tables <> 1 then None
   else begin
     let q = Bitset.min_elt inner_tables in
@@ -189,8 +200,13 @@ let inner_probe_cost p block ~preds ~inner_tables =
     | None -> None
     | Some col ->
       if Table.index_providing table [ col ] <> None then
-        let hit =
+        let hit () =
           buffer_hit_ratio p ~pages:(Float.max 1.0 (table_pages table *. 0.05))
+        in
+        let hit =
+          match sel with
+          | Some c -> Cardinality.probe_hit c q hit
+          | None -> hit ()
         in
         Some ((2.0 *. p.io_page *. (1.0 -. hit)) +. (3.0 *. p.cpu_probe))
       else None

@@ -9,12 +9,19 @@
     the COTE bypasses.
 
     Predicate-dependent quantities (join selectivity from histograms, skew)
-    are *logical* per-join properties: they are computed once per enumerated
-    join into a {!join_ctx} and shared by every plan of that join, mirroring
-    the property caching of Section 3.2.  The per-plan work — the cost
-    formulas themselves — is roughly constant per plan and differs by join
-    method, which is exactly the premise of the paper's
-    [T = T_inst * sum(C_t * P_t)] time model.
+    are *logical* per-join properties, gathered into a {!join_ctx} once per
+    enumerated join and direction and shared by every plan of that join,
+    mirroring the property caching of Section 3.2.  Their histogram inputs
+    are read once per compile: the plan generator passes the MEMO's
+    {!Cardinality.ctx} ([?sel]), so each predicate's [Histogram.sel_join]
+    and skew probe and each inner table's index-probe hit ratio are
+    computed on first use and then looked up.  Without them the same values
+    are computed on the spot.  The per-plan work — the cost formulas
+    themselves, buffer-pool fixpoint, device integral, sort and hash
+    simulations included — is deliberately evaluated for every generated
+    plan: it is roughly constant per plan and differs by join method, which
+    is exactly the premise of the paper's [T = T_inst * sum(C_t * P_t)]
+    time model, and caching it would remove the weight the model counts.
 
     Costs are abstract units roughly proportional to milliseconds of
     execution; only their relative magnitudes matter to plan choice. *)
@@ -44,9 +51,18 @@ type join_ctx = {
 }
 
 val join_context :
-  params -> Query_block.t -> preds:Pred.t list -> inner_card:float -> join_ctx
+  ?sel:Cardinality.ctx * int list ->
+  params ->
+  Query_block.t ->
+  preds:Pred.t list ->
+  inner_card:float ->
+  join_ctx
 (** The per-join logical cost context — computed once per enumerated join
-    and direction, not per plan. *)
+    and direction, not per plan.  [sel] is a selectivity context of the
+    block with the list indices of [preds] (in the same order): the join
+    selectivity and the parallel skew of the first join column are then
+    read from (and on first use stored in) the context; otherwise they are
+    computed from the histograms. *)
 
 val seq_scan : params -> Table.t -> float
 
@@ -60,9 +76,16 @@ val row_width : Query_block.t -> Qopt_util.Bitset.t -> float
 (** Approximate byte width of a composite row over the table set. *)
 
 val inner_probe_cost :
-  params -> Query_block.t -> preds:Pred.t list -> inner_tables:Qopt_util.Bitset.t -> float option
+  ?sel:Cardinality.ctx ->
+  params ->
+  Query_block.t ->
+  preds:Pred.t list ->
+  inner_tables:Qopt_util.Bitset.t ->
+  float option
 (** Per-probe cost of index nested loops: available when the inner side is a
-    single table with an index led by the inner join column. *)
+    single table with an index led by the inner join column.  With [sel]
+    the table's buffer-hit ratio is read from (and on first use stored in)
+    the context. *)
 
 val nljn :
   params ->

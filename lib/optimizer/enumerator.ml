@@ -15,6 +15,7 @@ type join_event = {
   right : Memo.entry;
   result : Memo.entry;
   preds : Pred.t list;
+  pred_ids : int list;
   cartesian : bool;
   left_outer_ok : bool;
   right_outer_ok : bool;
@@ -108,10 +109,11 @@ let run ~knobs ~card_of memo consumer =
                 let feasible = ref false in
                 let union = Bitset.union s.Memo.tables l.Memo.tables in
                 if union_valid block union then begin
-                  let preds =
-                    Query_block.crossing_preds block s.Memo.tables l.Memo.tables
+                  let tagged =
+                    Query_block.crossing_preds_indexed block s.Memo.tables
+                      l.Memo.tables
                   in
-                  let cartesian = preds = [] in
+                  let cartesian = tagged = [] in
                   let cartesian_ok =
                     (not cartesian)
                     || knobs.Knobs.allow_cartesian
@@ -147,7 +149,8 @@ let run ~knobs ~card_of memo consumer =
                           left = s;
                           right = l;
                           result;
-                          preds;
+                          preds = List.map snd tagged;
+                          pred_ids = List.map fst tagged;
                           cartesian;
                           left_outer_ok;
                           right_outer_ok;

@@ -20,6 +20,9 @@ type join_event = {
   right : Memo.entry;  (** L *)
   result : Memo.entry;  (** entry for S ∪ L *)
   preds : Pred.t list;  (** equality join predicates crossing S and L *)
+  pred_ids : int list;
+      (** their indices in the block's predicate list, same order — the
+          keys of the MEMO's selectivity context *)
   cartesian : bool;  (** no crossing predicate: a Cartesian product *)
   left_outer_ok : bool;  (** direction "S outer, L inner" is feasible *)
   right_outer_ok : bool;  (** direction "L outer, S inner" is feasible *)

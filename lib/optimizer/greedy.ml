@@ -1,10 +1,11 @@
 module Bitset = Qopt_util.Bitset
 module Table = Qopt_catalog.Table
 
-let scan_plan env params block q =
+let scan_plan env params selectivity q =
+  let block = Cardinality.ctx_block selectivity in
   let table = (Query_block.quantifier block q).Quantifier.table in
   let tables = Bitset.singleton q in
-  let card = Cardinality.of_set Cardinality.Full block tables in
+  let card = Cardinality.card selectivity tables in
   let sel = card /. Float.max 1.0 table.Table.row_count in
   let partition =
     if Env.is_parallel env then
@@ -36,12 +37,15 @@ let scan_plan env params block q =
       cost = seq_cost;
     }
 
-let cheapest_join params block ~outer ~inner ~preds ~out_card =
+(* [sel] is the caller's selectivity context with the list indices of
+   [preds] (see [Cost_model.join_context]); without it the histograms are
+   read on the spot. *)
+let cheapest_join ?sel params block ~outer ~inner ~preds ~out_card =
   let ctx =
-    Cost_model.join_context params block ~preds ~inner_card:inner.Plan.card
+    Cost_model.join_context ?sel params block ~preds ~inner_card:inner.Plan.card
   in
   let probe =
-    Cost_model.inner_probe_cost params block ~preds
+    Cost_model.inner_probe_cost ?sel:(Option.map fst sel) params block ~preds
       ~inner_tables:inner.Plan.tables
   in
   let candidates =
@@ -77,14 +81,13 @@ let optimize env block =
   let n = Query_block.n_quantifiers block in
   if n = 0 then None
   else begin
+    let sel = Cardinality.context Cardinality.Full block in
     let components = ref [] in
     for q = n - 1 downto 0 do
-      components := scan_plan env params block q :: !components
+      components := scan_plan env params sel q :: !components
     done;
     let crossing a b =
-      List.filter
-        (fun p -> Pred.crosses p a.Plan.tables b.Plan.tables)
-        block.Query_block.preds
+      Query_block.crossing_preds_indexed block a.Plan.tables b.Plan.tables
     in
     let rec loop comps =
       match comps with
@@ -99,10 +102,10 @@ let optimize env block =
             List.iteri
               (fun k b ->
                 if k > i then begin
-                  let preds = crossing a b in
+                  let tagged = crossing a b in
                   let union = Bitset.union a.Plan.tables b.Plan.tables in
-                  let card = Cardinality.of_set Cardinality.Full block union in
-                  let connected = preds <> [] in
+                  let card = Cardinality.card sel union in
+                  let connected = tagged <> [] in
                   let better =
                     match !best with
                     | None -> true
@@ -111,16 +114,17 @@ let optimize env block =
                       else if connected = bconn then card < bcard
                       else false
                   in
-                  if better then best := Some (connected, card, a, b, preds)
+                  if better then best := Some (connected, card, a, b, tagged)
                 end)
               comps)
           comps;
         (match !best with
         | None -> None
-        | Some (_, card, a, b, preds) ->
+        | Some (_, card, a, b, tagged) ->
           (* Cost both directions and keep the cheaper join. *)
-          let j1 = cheapest_join params block ~outer:a ~inner:b ~preds ~out_card:card in
-          let j2 = cheapest_join params block ~outer:b ~inner:a ~preds ~out_card:card in
+          let preds = List.map snd tagged and sel = (sel, List.map fst tagged) in
+          let j1 = cheapest_join ~sel params block ~outer:a ~inner:b ~preds ~out_card:card in
+          let j2 = cheapest_join ~sel params block ~outer:b ~inner:a ~preds ~out_card:card in
           let joined = if j1.Plan.cost <= j2.Plan.cost then j1 else j2 in
           let rest =
             List.filter (fun c -> c != a && c != b) comps

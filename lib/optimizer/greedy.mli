@@ -13,12 +13,14 @@ val optimize : Env.t -> Query_block.t -> Plan.t option
 (** Best-effort greedy plan for the block (children blocks are ignored —
     drive them through {!Optimizer}).  [None] only for empty blocks. *)
 
-val scan_plan : Env.t -> Cost_model.params -> Query_block.t -> int -> Plan.t
-(** Cheapest access path for one quantifier: a sequential scan or a
-    filtered index probe, with the parallel environment's partition
-    property attached.  Shared with {!Spanning_tree}. *)
+val scan_plan : Env.t -> Cost_model.params -> Cardinality.ctx -> int -> Plan.t
+(** Cheapest access path for one quantifier of the context's block: a
+    sequential scan or a filtered index probe, with the parallel
+    environment's partition property attached.  Shared with
+    {!Spanning_tree}. *)
 
 val cheapest_join :
+  ?sel:Cardinality.ctx * int list ->
   Cost_model.params ->
   Query_block.t ->
   outer:Plan.t ->
@@ -27,4 +29,6 @@ val cheapest_join :
   out_card:float ->
   Plan.t
 (** The cheapest of NLJN/MGJN/HSJN for one (outer, inner) direction.
+    [sel] hands the caller's selectivity context and the list indices of
+    [preds] to the cost model (see {!Cost_model.join_context}).
     Shared with {!Spanning_tree}. *)

@@ -18,6 +18,10 @@ val hsjn : t -> (unit -> 'a) -> 'a
 val save : t -> (unit -> 'a) -> 'a
 
 val card : t -> (unit -> 'a) -> 'a
+(** Logical properties: entry cardinalities (the enumerator's card-1
+    checks and the generator's own reads), and per join direction the
+    column equivalences and the predicate-dependent cost inputs.  Buckets
+    do not nest: callers compute these before entering another bucket. *)
 
 val scan : t -> (unit -> 'a) -> 'a
 

@@ -111,6 +111,7 @@ type t = {
   by_size : bucket array; (* creation order per size *)
   intern : Prop_id.t;
   mutable kept : int; (* running kept-plan count across all entries *)
+  mutable sel : Cardinality.ctx option; (* created by the first estimate *)
   sts : stats;
 }
 
@@ -122,6 +123,7 @@ let create blk =
     by_size = Array.init (n + 1) (fun _ -> { items = [||]; len = 0 });
     intern = Prop_id.create ();
     kept = 0;
+    sel = None;
     sts =
       {
         entries_created = 0;
@@ -215,11 +217,19 @@ let equiv_of t e =
     e.equiv_cache <- Some eq;
     eq
 
+let selectivity t mode =
+  match t.sel with
+  | Some c when Cardinality.ctx_mode c = mode -> c
+  | Some _ | None ->
+    let c = Cardinality.context mode t.blk in
+    t.sel <- Some c;
+    c
+
 let card_of t mode e =
   match e.card_cache with
   | Some c -> c
   | None ->
-    let c = Cardinality.of_set mode t.blk e.tables in
+    let c = Cardinality.card (selectivity t mode) e.tables in
     e.card_cache <- Some c;
     c
 

@@ -143,9 +143,14 @@ val equiv_of : t -> entry -> Equiv.t
 (** Column equivalences induced by predicates internal to the entry
     (cached). *)
 
+val selectivity : t -> Cardinality.mode -> Cardinality.ctx
+(** The MEMO's selectivity context, created on first use.  A MEMO instance
+    is used with a single mode throughout its lifetime; asking for the
+    other mode replaces the context with a fresh one. *)
+
 val card_of : t -> Cardinality.mode -> entry -> float
-(** Cached cardinality of the entry under the given model.  A MEMO instance
-    is used with a single mode throughout its lifetime. *)
+(** Cached cardinality of the entry under the given model, computed from
+    {!selectivity}. *)
 
 val width_of : t -> entry -> float
 (** Memoized [Cost_model.row_width] of the entry's table set — every plan

@@ -23,6 +23,7 @@ type t = {
   env : Env.t;
   params : Cost_model.params;
   memo : Memo.t;
+  sel : Cardinality.ctx;
   block : Query_block.t;
   instr : Instrument.t;
   cost_bound : float option;
@@ -37,6 +38,7 @@ let create ?cost_bound ?(views = []) env memo instr =
     env;
     params = Cost_model.params env;
     memo;
+    sel = Memo.selectivity memo Cardinality.Full;
     block = Memo.block memo;
     instr;
     cost_bound;
@@ -127,10 +129,9 @@ let partition_groups equiv plans =
   in
   List.map (fun (_, part, best) -> (part, best)) (partition_groups_keyed key_of plans)
 
-let scan_plans t (entry : Memo.entry) =
+let scan_plans t (entry : Memo.entry) ~card =
   let q = Bitset.min_elt entry.Memo.tables in
   let table = (Query_block.quantifier t.block q).Quantifier.table in
-  let card = Memo.card_of t.memo Cardinality.Full entry in
   let partition = default_partition t.env t.block q in
   let base =
     {
@@ -307,13 +308,29 @@ let repart_variant t equiv ~ctx ~jc ~wo ~wi ~wout ~method_ ~(x : Memo.entry)
 
 let gen_direction t event ~(x : Memo.entry) ~(y : Memo.entry) =
   let j = event.Enumerator.result in
-  let equiv = Memo.equiv_of t.memo j in
   let preds = event.Enumerator.preds in
-  let out_card = Memo.card_of t.memo Cardinality.Full j in
   let stats = Memo.stats t.memo in
   match Memo.best_plan y with
   | None -> []
   | Some inner_best ->
+    (* The logical properties of the join — equivalences, output
+       cardinality and the predicate-dependent cost inputs — are computed
+       once here, shared by every generated plan, and timed in the
+       cardinality bucket.  The histogram reads come from the MEMO's
+       selectivity context. *)
+    let equiv, out_card, ctx, probe =
+      Instrument.card t.instr (fun () ->
+          let ctx =
+            Cost_model.join_context
+              ~sel:(t.sel, event.Enumerator.pred_ids)
+              t.params t.block ~preds ~inner_card:inner_best.Plan.card
+          in
+          let probe =
+            Cost_model.inner_probe_cost ~sel:t.sel t.params t.block ~preds
+              ~inner_tables:y.Memo.tables
+          in
+          (Memo.equiv_of t.memo j, Memo.card_of t.memo Cardinality.Full j, ctx, probe))
+    in
     (* Per-direction constants, shared by every generated plan: the kept
        outer plans (one list materialization instead of four), their
        partition groups (once instead of twice), the memoized row widths,
@@ -328,16 +345,6 @@ let gen_direction t event ~(x : Memo.entry) ~(y : Memo.entry) =
       List.find_map
         (fun p -> match Pred.join_cols p with Some (l, _) -> Some l | None -> None)
         preds
-    in
-    (* The predicate-dependent part of costing is a logical property of the
-       join: computed once here, shared by every generated plan. *)
-    let ctx =
-      Cost_model.join_context t.params t.block ~preds
-        ~inner_card:inner_best.Plan.card
-    in
-    let probe =
-      Cost_model.inner_probe_cost t.params t.block ~preds
-        ~inner_tables:y.Memo.tables
     in
     (* NLJN: full propagation of the outer's order, one plan per kept outer
        plan.  For top-N queries, a pipelinable inner variant is additionally
@@ -494,7 +501,8 @@ let on_join t (event : Enumerator.join_event) =
    registered view; a hit contributes a substitute scan of the materialized
    result (Section 6.2). *)
 let try_views t (entry : Memo.entry) =
-  if t.views <> [] then
+  if t.views <> [] then begin
+    let card = card_of t entry in
     Instrument.mv t.instr (fun () ->
         List.iter
           (fun view ->
@@ -511,17 +519,22 @@ let try_views t (entry : Memo.entry) =
                        default_partition t.env t.block
                          (Qopt_util.Bitset.min_elt entry.Memo.tables)
                      else None);
-                  card = Memo.card_of t.memo Cardinality.Full entry;
+                  card;
                   cost = Mat_view.substitute_cost t.params view;
                 }
               in
               Memo.insert_plan t.memo entry plan
             end)
           t.views)
+  end
 
+(* Cardinalities are computed ahead of the scan and view buckets so the
+   card bucket times them without nesting inside another bucket. *)
 let on_entry t (entry : Memo.entry) =
-  if Bitset.cardinal entry.Memo.tables = 1 then
-    Instrument.scan t.instr (fun () -> scan_plans t entry);
+  if Bitset.cardinal entry.Memo.tables = 1 then begin
+    let card = card_of t entry in
+    Instrument.scan t.instr (fun () -> scan_plans t entry ~card)
+  end;
   try_views t entry
 
 let consumer t =

@@ -134,7 +134,10 @@ let make ?(name = "q") ?(group_by = []) ?(order_by = []) ?(outer_joins = [])
 
 let neighbors t q = t.adj.adj_neighbors.(q)
 
-let crossing_preds t s l =
+let pair_preds t a b =
+  Option.value ~default:[] (Hashtbl.find_opt t.adj.adj_pair_preds (pair_key a b))
+
+let crossing_preds_indexed t s l =
   (* Indexed lookup: walk the edges from members of [s] into [l] instead of
      scanning the block's full predicate list.  Multi-edge results are
      re-sorted by original predicate index so the list is identical to what
@@ -153,12 +156,13 @@ let crossing_preds t s l =
   in
   match tagged with
   | [] -> []
-  | [ ps ] -> List.map snd ps
+  | [ ps ] -> ps
   | several ->
-    List.map snd
-      (List.sort
-         (fun (i, _) (j, _) -> Stdlib.compare (i : int) j)
-         (List.concat several))
+    List.sort
+      (fun (i, _) (j, _) -> Stdlib.compare (i : int) j)
+      (List.concat several)
+
+let crossing_preds t s l = List.map snd (crossing_preds_indexed t s l)
 
 let join_preds t = List.filter Pred.is_join t.preds
 

@@ -70,6 +70,14 @@ val crossing_preds : t -> Bitset.t -> Bitset.t -> Pred.t list
     with the edges between [s] and [l] rather than the block's total
     predicate count. *)
 
+val crossing_preds_indexed : t -> Bitset.t -> Bitset.t -> (int * Pred.t) list
+(** {!crossing_preds} with each predicate tagged by its index in [preds] —
+    the key of the per-predicate slots in {!Cardinality.ctx}. *)
+
+val pair_preds : t -> int -> int -> (int * Pred.t) list
+(** The join predicates between two quantifiers (either order), tagged with
+    their [preds] index, ascending; [[]] for a non-adjacent pair. *)
+
 val join_preds : t -> Pred.t list
 
 val local_preds : t -> Pred.t list

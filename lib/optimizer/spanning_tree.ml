@@ -21,79 +21,63 @@ let edge_count block =
   done;
   !count
 
-(* Everything cardinality-related, computed once per block.  [Cardinality.of_set]
-   rescans the block's full predicate list on every call, which is fine for
-   the DP path (entry cardinalities are computed once and memoized in the
-   MEMO) but quadratic poison for a sweep that needs a cardinality per edge
-   and per merge on a 1200-edge clique.  Cardinality factorizes exactly
-   across components — the correlation back-off groups by quantifier pair,
-   and the pairs crossing a merge are disjoint from the pairs inside either
-   side — so singleton cardinalities plus one combined selectivity per
-   adjacent pair reproduce [of_set] incrementally. *)
+(* Everything cardinality-related, read from one selectivity context per
+   block.  Cardinality factorizes exactly across components — the
+   correlation back-off groups by quantifier pair, and the pairs crossing a
+   merge are disjoint from the pairs inside either side — so singleton
+   cardinalities plus the context's per-pair back-off products reproduce
+   [Cardinality.card] incrementally, without a rescan of the block's
+   predicates per edge and per merge (quadratic poison on a 1200-edge
+   clique). *)
 type card_ctx = {
-  cc_singleton : float array;  (* [of_set] of each 1-table set *)
-  cc_pair_jsel : (int * int, float) Hashtbl.t;
-      (* per adjacent pair: back-off-combined selectivity of its preds *)
-  cc_spanning_locals : Pred.t list;
-      (* non-join preds spanning several quantifiers (expensive UDFs):
-         applied when a merge first makes them applicable *)
+  cc_sel : Cardinality.ctx;
+  cc_singleton : float array;  (* cardinality of each 1-table set *)
+  cc_spanning_locals : (int * Pred.t) list;
+      (* non-join preds spanning several quantifiers (expensive UDFs), with
+         their list index: applied when a merge first makes them
+         applicable *)
 }
 
 let card_context block =
-  let n = Query_block.n_quantifiers block in
+  let sel = Cardinality.context Cardinality.Full block in
   let cc_singleton =
-    Array.init n (fun q ->
-        Cardinality.of_set Cardinality.Full block (Bitset.singleton q))
+    Array.init (Query_block.n_quantifiers block) (fun q ->
+        Cardinality.card sel (Bitset.singleton q))
   in
-  let by_pair = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      match Pred.qpair p with
-      | Some key ->
-        Hashtbl.replace by_pair key
-          (p :: Option.value ~default:[] (Hashtbl.find_opt by_pair key))
-      | None -> ())
-    block.Query_block.preds;
-  let cc_pair_jsel = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun key preds ->
-      Hashtbl.replace cc_pair_jsel key
-        (Cardinality.combined_join_selectivity Cardinality.Full block preds))
-    by_pair;
   let cc_spanning_locals =
     List.filter
-      (fun p -> (not (Pred.is_join p)) && Bitset.cardinal (Pred.tables p) > 1)
-      block.Query_block.preds
+      (fun (_, p) -> (not (Pred.is_join p)) && Bitset.cardinal (Pred.tables p) > 1)
+      (List.mapi (fun i p -> (i, p)) block.Query_block.preds)
   in
-  { cc_singleton; cc_pair_jsel; cc_spanning_locals }
+  { cc_sel = sel; cc_singleton; cc_spanning_locals }
 
 (* Cardinality of joining two component plans: both sides' cardinalities
    already include their internal predicates, so only the crossing pairs'
    selectivities (and any multi-table local predicate that just became
    applicable) remain. *)
-let merged_card cc block a_tables a_card b_tables b_card preds =
+let merged_card cc a_tables a_card b_tables b_card preds =
   let jsel =
-    (* [preds] holds every predicate of every crossing pair, so distinct
-       pairs index straight into the precomputed table. *)
+    (* [preds] holds every predicate of every crossing pair: one factor per
+       distinct pair. *)
     let seen = Hashtbl.create 8 in
     List.fold_left
       (fun acc p ->
         match Pred.qpair p with
-        | Some key when not (Hashtbl.mem seen key) ->
+        | Some ((a, b) as key) when not (Hashtbl.mem seen key) ->
           Hashtbl.replace seen key ();
-          acc *. (try Hashtbl.find cc.cc_pair_jsel key with Not_found -> 1.0)
+          acc *. Cardinality.pair_sel cc.cc_sel a b
         | Some _ | None -> acc)
       1.0 preds
   in
   let union = Bitset.union a_tables b_tables in
   let locals =
     List.fold_left
-      (fun acc p ->
+      (fun acc (i, p) ->
         if
           Pred.applicable_within p union
           && (not (Pred.applicable_within p a_tables))
           && not (Pred.applicable_within p b_tables)
-        then acc *. Cardinality.local_selectivity Cardinality.Full block p
+        then acc *. Cardinality.local_sel cc.cc_sel i
         else acc)
       1.0 cc.cc_spanning_locals
   in
@@ -110,9 +94,7 @@ let graph_edges cc block =
     let nb = Query_block.neighbors block i in
     for j = n - 1 downto i + 1 do
       if Bitset.mem j nb then begin
-        let jsel =
-          try Hashtbl.find cc.cc_pair_jsel (i, j) with Not_found -> 1.0
-        in
+        let jsel = Cardinality.pair_sel cc.cc_sel i j in
         let w =
           Float.max 1e-6 (cc.cc_singleton.(i) *. cc.cc_singleton.(j) *. jsel)
         in
@@ -141,7 +123,7 @@ let cheaper (a : Plan.t) (b : Plan.t) = if a.Plan.cost <= b.Plan.cost then a els
    plan evaluates every join predicate exactly once. *)
 let attempt env params cc block edges joins =
   let n = Query_block.n_quantifiers block in
-  let comps = Array.init n (fun q -> Some (Greedy.scan_plan env params block q)) in
+  let comps = Array.init n (fun q -> Some (Greedy.scan_plan env params cc.cc_sel q)) in
   let parent = Array.init n (fun q -> q) in
   let rec find q =
     if parent.(q) = q then q
@@ -151,15 +133,16 @@ let attempt env params cc block edges joins =
       r
     end
   in
-  let merge a b preds =
+  let merge a b tagged =
+    let preds = List.map snd tagged in
     let card =
-      merged_card cc block a.Plan.tables a.Plan.card b.Plan.tables b.Plan.card
-        preds
+      merged_card cc a.Plan.tables a.Plan.card b.Plan.tables b.Plan.card preds
     in
+    let sel = (cc.cc_sel, List.map fst tagged) in
     joins := !joins + 2;
     cheaper
-      (Greedy.cheapest_join params block ~outer:a ~inner:b ~preds ~out_card:card)
-      (Greedy.cheapest_join params block ~outer:b ~inner:a ~preds ~out_card:card)
+      (Greedy.cheapest_join ~sel params block ~outer:a ~inner:b ~preds ~out_card:card)
+      (Greedy.cheapest_join ~sel params block ~outer:b ~inner:a ~preds ~out_card:card)
   in
   List.iter
     (fun (i, j, _) ->
@@ -167,7 +150,9 @@ let attempt env params cc block edges joins =
       if ri <> rj then begin
         match (comps.(ri), comps.(rj)) with
         | Some a, Some b ->
-          let preds = Query_block.crossing_preds block a.Plan.tables b.Plan.tables in
+          let preds =
+            Query_block.crossing_preds_indexed block a.Plan.tables b.Plan.tables
+          in
           comps.(ri) <- Some (merge a b preds);
           comps.(rj) <- None;
           parent.(rj) <- ri
@@ -196,7 +181,9 @@ let attempt env params cc block edges joins =
       (match !best with
       | None -> None
       | Some (_, a, b) ->
-        let preds = Query_block.crossing_preds block a.Plan.tables b.Plan.tables in
+        let preds =
+          Query_block.crossing_preds_indexed block a.Plan.tables b.Plan.tables
+        in
         let joined = merge a b preds in
         collapse (joined :: List.filter (fun c -> c != a && c != b) comps))
   in

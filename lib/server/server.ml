@@ -114,7 +114,9 @@ type job = {
   j_model_s : float;  (* the pure model prediction; drives drift *)
   j_cache_hit : bool;
   j_regime : Cote.Regime.t;  (* which compile path the decision picked *)
-  j_pc_key : string option;  (* plan-cache key to store the result under *)
+  j_key : string;
+      (* the request's template key: the statement-cache key, and the
+         plan-cache key the result is stored under *)
   j_deadline : float option;  (* absolute, monotonic clock *)
   j_enqueued : float;  (* monotonic *)
   j_send : Proto.reply -> unit;
@@ -241,8 +243,6 @@ let resolve_schema t name =
         (Printf.sprintf "unknown schema %S (known: %s)" n
            (String.concat ", " (List.map fst t.cfg.schemas))))
 
-let schema_for t name = snd (resolve_schema t name)
-
 type evaluation = {
   ev_block : O.Query_block.t;
   ev_choice : Level.chosen;
@@ -263,7 +263,7 @@ let current_model t =
    while the COTE pass still supplies the plan-count fields of the reply.
    Cache refinement is keyed by the chosen level: an actual recorded for a
    downgraded compile says nothing about the full-level cost. *)
-let evaluate_block t block =
+let evaluate_block t ~key block =
   let model = current_model t in
   let choice =
     Level.select ~levels:t.cfg.levels ~downgrade_s:t.cfg.downgrade_s
@@ -277,7 +277,7 @@ let evaluate_block t block =
   end;
   let cached =
     Cote.Stmt_cache.lookup t.cache
-      ~tag:choice.Level.level.Cote.Multi_level.level_name block
+      ~tag:choice.Level.level.Cote.Multi_level.level_name ~key block
   in
   {
     ev_block = block;
@@ -287,12 +287,18 @@ let evaluate_block t block =
     ev_cache_hit = cached <> None;
   }
 
+(* The statement cache and the plan cache share one key: the resolved schema
+   name plus the parameter-abstracted template text.  It is at least as
+   fine as the block signature, costs one AST walk, and the schema prefix
+   keeps identical SQL against same-named tables in different schemas
+   apart. *)
+let template_key schema_name ast = schema_name ^ "|" ^ Qopt_sql.Template.key_of ast
+
 let evaluate t ~id ~sql ~schema =
-  let schema = schema_for t schema in
-  let block =
-    Qopt_sql.Binder.parse_and_bind ~name:(Printf.sprintf "q%d" id) schema sql
-  in
-  evaluate_block t block
+  let schema_name, schema = resolve_schema t schema in
+  let ast = Qopt_sql.Parser.parse sql in
+  let block = Qopt_sql.Binder.bind ~name:(Printf.sprintf "q%d" id) schema ast in
+  evaluate_block t ~key:(template_key schema_name ast) block
 
 let estimate_reply id ev =
   let e = ev.ev_choice.Level.prediction.Cote.Predict.estimate in
@@ -343,11 +349,11 @@ let run_fallback t job ~now ~interrupt regime =
       ~restarts:t.cfg.greedy_restarts job.j_block
   in
   release t job;
-  Cote.Stmt_cache.record t.cache ~tag:"greedy" job.j_block
+  Cote.Stmt_cache.record t.cache ~tag:"greedy" ~key:job.j_key job.j_block
     fb.O.Optimizer.fb_elapsed;
-  (match (t.pcache, job.j_pc_key, fb.O.Optimizer.fb_best) with
-  | Some pc, Some key, Some plan ->
-    Cote.Plan_cache.store pc ~key job.j_block ~plan
+  (match (t.pcache, fb.O.Optimizer.fb_best) with
+  | Some pc, Some plan ->
+    Cote.Plan_cache.store pc ~key:job.j_key job.j_block ~plan
       {
         pm_joins = fb.O.Optimizer.fb_joins;
         pm_kept = 0;
@@ -424,7 +430,7 @@ and run_dp t job ~now ~interrupt =
   with
     | r ->
       release t job;
-      Cote.Stmt_cache.record t.cache ~tag:job.j_level job.j_block
+      Cote.Stmt_cache.record t.cache ~tag:job.j_level ~key:job.j_key job.j_block
         r.O.Optimizer.elapsed;
       (match t.recal with
       | None -> ()
@@ -441,9 +447,9 @@ and run_dp t job ~now ~interrupt =
              ~hsjn:(float_of_int r.O.Optimizer.generated.O.Memo.hsjn)
              ~joins:(float_of_int r.O.Optimizer.joins)
              ~predicted_s:job.j_model_s ~elapsed_s:r.O.Optimizer.elapsed ()));
-      (match (t.pcache, job.j_pc_key, r.O.Optimizer.best) with
-      | Some pc, Some key, Some plan ->
-        Cote.Plan_cache.store pc ~key job.j_block ~plan
+      (match (t.pcache, r.O.Optimizer.best) with
+      | Some pc, Some plan ->
+        Cote.Plan_cache.store pc ~key:job.j_key job.j_block ~plan
           {
             pm_joins = r.O.Optimizer.joins;
             pm_kept = r.O.Optimizer.kept;
@@ -603,7 +609,7 @@ let greedy_predicted t block =
   Cote.Greedy_model.predict t.cfg.greedy_model ~quantifiers:!quantifiers
     ~edges:!edges ~restarts:t.cfg.greedy_restarts
 
-let compile_cold t conn req_id ~arrival ~pc_key ~estimate_hint_s block
+let compile_cold t conn req_id ~arrival ~key ~estimate_hint_s block
     deadline_ms =
   let deadline_s =
     match deadline_ms with
@@ -630,7 +636,7 @@ let compile_cold t conn req_id ~arrival ~pc_key ~estimate_hint_s block
           hint,
           false )
     | Some _ | None -> (
-      match evaluate_block t block with
+      match evaluate_block t ~key block with
       | ev ->
         Some
           ( ev.ev_choice.Level.level.Cote.Multi_level.level_knobs,
@@ -657,7 +663,7 @@ let compile_cold t conn req_id ~arrival ~pc_key ~estimate_hint_s block
          keyed under its own tag: a recorded greedy actual beats the
          greedy model. *)
       Atomic.incr t.n_regime_greedy;
-      let cached = Cote.Stmt_cache.lookup t.cache ~tag:"greedy" block in
+      let cached = Cote.Stmt_cache.lookup t.cache ~tag:"greedy" ~key block in
       ( O.Knobs.default,
         "greedy",
         Option.value ~default:greedy_s cached,
@@ -698,7 +704,7 @@ let compile_cold t conn req_id ~arrival ~pc_key ~estimate_hint_s block
         j_model_s = model_s;
         j_cache_hit = cache_hit;
         j_regime = regime;
-        j_pc_key = pc_key;
+        j_key = key;
         j_deadline = Option.map (fun d -> arrival +. d) deadline_s;
         j_enqueued = Timer.monotonic_now ();
         j_send = send_reply conn;
@@ -715,31 +721,25 @@ let handle_compile t conn req_id sql schema deadline_ms estimate_hint_s =
   let arrival = Timer.monotonic_now () in
   let schema_name, schema = resolve_schema t schema in
   let ast = Qopt_sql.Parser.parse sql in
-  let bind () =
-    Qopt_sql.Binder.bind ~name:(Printf.sprintf "q%d" req_id) schema ast
+  (* Key on the template, not the block signature (see [template_key]):
+     the template also separates string- from numeric-literal statements,
+     and envelope/generation revalidation cannot tell same-SQL twins in
+     different schemas apart.  (Dependent table names inside the plan
+     cache stay unqualified: a stats bump for one schema's table then
+     flushes its same-named twins too, which is conservative, never
+     stale.) *)
+  let key = template_key schema_name ast in
+  let block = Qopt_sql.Binder.bind ~name:(Printf.sprintf "q%d" req_id) schema ast in
+  let cold () =
+    compile_cold t conn req_id ~arrival ~key ~estimate_hint_s block deadline_ms
   in
   match t.pcache with
-  | None ->
-    compile_cold t conn req_id ~arrival ~pc_key:None ~estimate_hint_s (bind ())
-      deadline_ms
+  | None -> cold ()
   | Some pc -> (
-    (* Key on the resolved schema name plus the parameter-abstracted
-       template text, not the block signature: the template separates
-       string- from numeric-literal statements and costs one AST walk, no
-       optimizer structures, and the schema prefix keeps identical SQL
-       against same-named tables in different schemas from sharing an
-       entry — envelope/generation revalidation cannot tell such twins
-       apart.  (Dependent table names inside the cache stay unqualified:
-       a stats bump for one schema's table then flushes its same-named
-       twins too, which is conservative, never stale.) *)
-    let key = schema_name ^ "|" ^ Qopt_sql.Template.key_of ast in
-    let block = bind () in
     match Cote.Plan_cache.lookup pc ~key block with
     | Cote.Plan_cache.Hit { plan; payload } ->
       serve_plan_hit t conn req_id ~arrival plan payload
-    | Cote.Plan_cache.Miss | Cote.Plan_cache.Invalidated _ ->
-      compile_cold t conn req_id ~arrival ~pc_key:(Some key) ~estimate_hint_s
-        block deadline_ms)
+    | Cote.Plan_cache.Miss | Cote.Plan_cache.Invalidated _ -> cold ())
 
 let initiate_shutdown t =
   let first =

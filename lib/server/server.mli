@@ -22,7 +22,10 @@
     and optimizer metrics shard cleanly.  A statement cache
     ({!Cote.Stmt_cache} [~shared:true]) is shared across all connections:
     recorded actual compile times refine the admission estimate for
-    structurally identical queries. *)
+    queries with the same template.  It is keyed by the request's
+    schema-qualified, literal-abstracted template key — the plan cache's
+    key, at least as fine as the block signature — so the server never
+    renders a signature. *)
 
 module O = Qopt_optimizer
 

@@ -12,6 +12,13 @@ module Bitset = Qopt_util.Bitset
 let crossing_preds (block : O.Query_block.t) s l =
   List.filter (fun p -> O.Pred.crosses p s l) block.O.Query_block.preds
 
+(* The join event's [pred_ids]: the same scan, keeping list indices. *)
+let crossing_pred_ids (block : O.Query_block.t) s l =
+  List.concat
+    (List.mapi
+       (fun i p -> if O.Pred.crosses p s l then [ i ] else [])
+       block.O.Query_block.preds)
+
 (* The old list-returning accessor, rebuilt on top of the iteration API the
    MEMO now exposes (creation order, materialized before the pair loop). *)
 let entries_of_size memo size =
@@ -91,6 +98,9 @@ let run ?(on_pair = fun () -> ()) ~(knobs : O.Knobs.t) ~card_of memo consumer =
                           right = l;
                           result;
                           preds;
+                          pred_ids =
+                            crossing_pred_ids block s.O.Memo.tables
+                              l.O.Memo.tables;
                           cartesian;
                           left_outer_ok;
                           right_outer_ok;

@@ -307,11 +307,13 @@ module W = Qopt_workloads
 
 (* A join event reduced to comparable data: table sets, the crossing
    predicates (rendered, order-sensitive — merge-order derivation reads
-   them in list order), and the feasibility flags. *)
+   them in list order) and their list indices, and the feasibility
+   flags. *)
 let event_key (ev : O.Enumerator.join_event) =
   ( Bitset.to_int ev.O.Enumerator.left.O.Memo.tables,
     Bitset.to_int ev.O.Enumerator.right.O.Memo.tables,
     List.map (Format.asprintf "%a" O.Pred.pp) ev.O.Enumerator.preds,
+    ev.O.Enumerator.pred_ids,
     ev.O.Enumerator.cartesian,
     ev.O.Enumerator.left_outer_ok,
     ev.O.Enumerator.right_outer_ok )

@@ -45,6 +45,21 @@ let accounting_tests =
         SC.record cache (Helpers.chain 4) 0.2;
         SC.record cache (Helpers.star_block 4) 0.3;
         Alcotest.(check int) "size" 3 (SC.size cache));
+    t "a caller's key replaces the signature, partitioned by tag" (fun () ->
+        let cache = SC.create ~shared:true () in
+        let q = Helpers.chain 3 in
+        SC.record cache ~tag:"dp" ~key:"s|SELECT ?" q 0.5;
+        Alcotest.(check (option (float 0.0)))
+          "same key, other block" (Some 0.5)
+          (SC.lookup cache ~tag:"dp" ~key:"s|SELECT ?" (Helpers.chain 4));
+        Alcotest.(check (option (float 0.0)))
+          "other tag" None (SC.lookup cache ~tag:"greedy" ~key:"s|SELECT ?" q);
+        Alcotest.(check (option (float 0.0)))
+          "signature key space is separate" None (SC.lookup cache ~tag:"dp" q);
+        Alcotest.(check (option (float 0.0)))
+          "refine reads the keyed entry" (Some 0.5)
+          (Some (SC.refine cache ~tag:"dp" ~key:"s|SELECT ?" q ~model_s:9.0));
+        Alcotest.(check int) "size" 1 (SC.size cache));
     t "obs counters track hits, misses and size" (fun () ->
         Obs.Control.with_enabled true (fun () ->
             let reg = Obs.Registry.default in

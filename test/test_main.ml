@@ -8,6 +8,7 @@ let () =
       ("props", T_props.suite);
       ("block", T_block.suite);
       ("cardinality-cost", T_cardinality_cost.suite);
+      ("selectivity", T_selectivity.suite);
       ("memo", T_memo.suite);
       ("enumerator", T_enumerator.suite);
       ("optimizer", T_optimizer.suite);
