@@ -4,7 +4,7 @@ module Srv = Qopt_server
 
 type launch = Spawn of { exe : string; argv : string array } | External
 
-type spec = { sp_addr : Srv.Server.addr; sp_launch : launch }
+type spec = { sp_addr : Srv.Frontdoor.addr; sp_launch : launch }
 
 type outcome = Reply of Srv.Proto.reply | Timeout | Unreachable
 
@@ -103,30 +103,9 @@ let reader ch () =
   in
   loop ()
 
-let dial addr =
-  match addr with
-  | `Unix path ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX path)
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-  | `Tcp (host, port) ->
-    let inet =
-      try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> Unix.inet_addr_of_string host
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_INET (inet, port))
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-
 let open_chan ~attempts addr =
   let rec go n delay =
-    match dial addr with
+    match Srv.Frontdoor.dial addr with
     | fd ->
       let ch =
         {

@@ -24,7 +24,7 @@ type launch =
           multi-domain programs, unlike [Unix.fork]) *)
   | External  (** already running; never spawned, reaped, or respawned *)
 
-type spec = { sp_addr : Srv.Server.addr; sp_launch : launch }
+type spec = { sp_addr : Srv.Frontdoor.addr; sp_launch : launch }
 
 type outcome =
   | Reply of Srv.Proto.reply
@@ -42,7 +42,7 @@ val create : int -> spec -> t
 
 val index : t -> int
 
-val addr : t -> Srv.Server.addr
+val addr : t -> Srv.Frontdoor.addr
 
 val pid : t -> int option
 (** The spawned process id, if this backend was spawned and has not

@@ -5,7 +5,7 @@ module Obs = Qopt_obs
 module Srv = Qopt_server
 
 type config = {
-  listen : Srv.Server.addr;
+  listen : Srv.Frontdoor.addr;
   backends : Backend.spec list;
   latency_tier : int;
   threshold_s : float;
@@ -82,98 +82,31 @@ let m_backends_up = Obs.Registry.gauge Obs.Registry.default "fleet.backends_up"
 (* State                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type conn = {
-  c_fd : Unix.file_descr;
-  c_oc : out_channel;
-  c_wlock : Mutex.t;
-}
-
 type t = {
   cfg : config;
   backends : Backend.t array;
   cache : Cote.Stmt_cache.t;  (* router-side refinement, shared by conns *)
   lock : Mutex.t;
   mutable shutting : bool;
-  mutable conns : (conn * Thread.t) list;
 }
 
 let shutting t = Mutex.protect t.lock (fun () -> t.shutting)
-
-let send_reply conn reply =
-  try
-    Mutex.protect conn.c_wlock (fun () ->
-        Srv.Wire.write conn.c_oc
-          (J.to_string (Srv.Proto.reply_to_json reply)))
-  with Sys_error _ | Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Estimation (once, at the front door)                                *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_schema t name =
-  match name with
-  | None -> (
-    match t.cfg.schemas with
-    | (n, s) :: _ -> (n, s)
-    | [] -> failwith "router has no schemas configured")
-  | Some n -> (
-    match List.assoc_opt n t.cfg.schemas with
-    | Some s -> (n, s)
-    | None ->
-      failwith
-        (Printf.sprintf "unknown schema %S (known: %s)" n
-           (String.concat ", " (List.map fst t.cfg.schemas))))
-
-type routed = {
-  rt_block : O.Query_block.t;
-  rt_key : string;  (* schema-qualified template key — the affinity key *)
-  rt_choice : Srv.Level.chosen;
-  rt_predicted_s : float;  (* stmt-cache refined *)
-  rt_cache_hit : bool;
-}
-
 (* The fleet's "estimate once" point: one COTE pass here, refined by the
    router's own statement cache (fed by elapsed times out of compile
    replies), and the result rides to the backend as estimate_hint_s so a
-   trust-hints backend never re-estimates. *)
-let evaluate t ~id ~sql ~schema =
-  let schema_name, schema = resolve_schema t schema in
-  let ast = Qopt_sql.Parser.parse sql in
-  let block =
-    Qopt_sql.Binder.bind ~name:(Printf.sprintf "r%d" id) schema ast
-  in
-  let choice =
-    Srv.Level.select ~levels:t.cfg.levels ~downgrade_s:None
-      ~predict:(fun knobs ->
-        Cote.Predict.compile_time ~knobs ~model:t.cfg.model t.cfg.env block)
-  in
-  let level = choice.Srv.Level.level.Cote.Multi_level.level_name in
-  let cached = Cote.Stmt_cache.lookup t.cache ~tag:level block in
-  ( schema_name,
-    {
-      rt_block = block;
-      rt_key = schema_name ^ "|" ^ Qopt_sql.Template.key_of ast;
-      rt_choice = choice;
-      rt_predicted_s =
-        Option.value ~default:choice.Srv.Level.predicted_s cached;
-      rt_cache_hit = cached <> None;
-    } )
+   trust-hints backend never re-estimates.  The router has no budget
+   setting, so the pass runs unbounded. *)
+let evaluate t (p : Srv.Frontdoor.prepared) =
+  Srv.Frontdoor.evaluate t.cfg.env ~model:t.cfg.model ~levels:t.cfg.levels
+    ~downgrade_s:None ~budget:O.Budget.unlimited t.cache ~key:p.p_key p.p_block
 
-let estimate_reply id rt =
-  let e = rt.rt_choice.Srv.Level.prediction.Cote.Predict.estimate in
-  Srv.Proto.R_estimate
-    ( id,
-      {
-        Srv.Proto.e_predicted_s = rt.rt_predicted_s;
-        e_level = rt.rt_choice.Srv.Level.level.Cote.Multi_level.level_name;
-        e_cache_hit = rt.rt_cache_hit;
-        e_joins = e.Cote.Estimator.joins;
-        e_nljn = e.Cote.Estimator.nljn;
-        e_mgjn = e.Cote.Estimator.mgjn;
-        e_hsjn = e.Cote.Estimator.hsjn;
-        e_entries = e.Cote.Estimator.entries;
-        e_estimation_s = e.Cote.Estimator.elapsed;
-      } )
+let prepare t ~id ~sql ~schema =
+  Srv.Frontdoor.prepare ~who:"router" t.cfg.schemas ~id ~sql ~schema
 
 (* ------------------------------------------------------------------ *)
 (* Tiering and candidate order                                         *)
@@ -231,8 +164,10 @@ let available t b =
 (* Dispatch with retry / failover                                      *)
 (* ------------------------------------------------------------------ *)
 
-let dispatch t ~orig_id ~sql ~schema_name ~deadline_ms rt =
-  let tier = tier_of t rt.rt_predicted_s in
+let dispatch t ~orig_id ~sql ~deadline_ms (p : Srv.Frontdoor.prepared)
+    (ev : Srv.Frontdoor.evaluation) =
+  let predicted_s = ev.ev_predicted_s in
+  let tier = tier_of t predicted_s in
   let timeout_s =
     match tier with
     | Latency ->
@@ -242,10 +177,10 @@ let dispatch t ~orig_id ~sql ~schema_name ~deadline_ms rt =
       Obs.Counter.incr m_routed_throughput;
       t.cfg.throughput_timeout_s
   in
-  let primary = order t ~key:rt.rt_key (tier_members t tier) in
+  let primary = order t ~key:p.p_key (tier_members t tier) in
   let home = List.map Backend.index primary in
   let backup =
-    order t ~key:rt.rt_key
+    order t ~key:p.p_key
       (List.filter
          (fun b -> not (List.mem (Backend.index b) home))
          (Array.to_list t.backends))
@@ -258,9 +193,9 @@ let dispatch t ~orig_id ~sql ~schema_name ~deadline_ms rt =
       {
         id;
         sql;
-        schema = Some schema_name;
+        schema = Some p.p_schema;
         deadline_ms;
-        estimate_hint_s = Some rt.rt_predicted_s;
+        estimate_hint_s = Some predicted_s;
       }
   in
   let finalize b reply =
@@ -272,8 +207,8 @@ let dispatch t ~orig_id ~sql ~schema_name ~deadline_ms rt =
          hits report 0 elapsed — recording those would poison estimates. *)
       if (not body.Srv.Proto.c_plan_cached) && body.Srv.Proto.c_elapsed_s > 0.0
       then
-        Cote.Stmt_cache.record t.cache ~tag:body.Srv.Proto.c_level rt.rt_block
-          body.Srv.Proto.c_elapsed_s;
+        Cote.Stmt_cache.record t.cache ~tag:body.Srv.Proto.c_level ~key:p.p_key
+          p.p_block body.Srv.Proto.c_elapsed_s;
       if t.cfg.affinity then begin
         Obs.Counter.incr m_affinity_total;
         if Backend.index b = first_choice then
@@ -314,7 +249,7 @@ let dispatch t ~orig_id ~sql ~schema_name ~deadline_ms rt =
         {
           id = orig_id;
           reason = "shutdown";
-          estimate_us = rt.rt_predicted_s *. 1e6;
+          estimate_us = predicted_s *. 1e6;
           queue_s = 0.0;
         }
     end
@@ -329,7 +264,7 @@ let dispatch t ~orig_id ~sql ~schema_name ~deadline_ms rt =
             {
               id = orig_id;
               reason = "fleet_unavailable";
-              estimate_us = rt.rt_predicted_s *. 1e6;
+              estimate_us = predicted_s *. 1e6;
               retry_after_us = None;
             })
       | b :: rest ->
@@ -378,89 +313,36 @@ let stats_json t =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Connections                                                         *)
+(* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let initiate_shutdown t =
   Mutex.protect t.lock (fun () -> t.shutting <- true)
 
-let handle_compile t conn ~id ~sql ~schema ~deadline_ms =
-  let t0 = Timer.monotonic_now () in
-  match
-    let schema_name, rt = evaluate t ~id ~sql ~schema in
-    dispatch t ~orig_id:id ~sql ~schema_name ~deadline_ms rt
-  with
-  | reply ->
-    Obs.Histo.observe m_latency (Timer.monotonic_now () -. t0);
-    send_reply conn reply
-  | exception
-      ( Failure msg
-      | Qopt_sql.Parser.Error msg
-      | Qopt_sql.Binder.Error msg
-      | Invalid_argument msg ) ->
-    Obs.Counter.incr m_errors;
-    send_reply conn (Srv.Proto.R_error { id; message = msg })
-  | exception Qopt_sql.Lexer.Error (msg, at) ->
-    Obs.Counter.incr m_errors;
-    send_reply conn
-      (Srv.Proto.R_error
-         { id; message = Printf.sprintf "%s (at byte %d)" msg at })
-
-let handle_inline t conn req =
+(* Front-end failures raised here, or in a compile's dispatcher thread,
+   become [error] replies in {!Srv.Frontdoor}, counted by [run]'s
+   [on_error]. *)
+let handle t conn req =
+  Obs.Counter.incr m_requests;
   match req with
-  | Srv.Proto.Estimate { id; sql; schema } -> (
-    match evaluate t ~id ~sql ~schema with
-    | _, rt -> send_reply conn (estimate_reply id rt)
-    | exception
-        ( Failure msg
-        | Qopt_sql.Parser.Error msg
-        | Qopt_sql.Binder.Error msg
-        | Invalid_argument msg ) ->
-      Obs.Counter.incr m_errors;
-      send_reply conn (Srv.Proto.R_error { id; message = msg })
-    | exception Qopt_sql.Lexer.Error (msg, at) ->
-      Obs.Counter.incr m_errors;
-      send_reply conn
-        (Srv.Proto.R_error
-           { id; message = Printf.sprintf "%s (at byte %d)" msg at }))
+  | Srv.Proto.Compile { id; sql; schema; deadline_ms; _ } ->
+    (* Each compile gets its own dispatcher thread: a pipelined client
+       burst fans out across backends concurrently instead of serializing
+       on this connection's read loop. *)
+    Srv.Frontdoor.spawn conn ~id (fun () ->
+        let t0 = Timer.monotonic_now () in
+        let p = prepare t ~id ~sql ~schema in
+        let reply = dispatch t ~orig_id:id ~sql ~deadline_ms p (evaluate t p) in
+        Obs.Histo.observe m_latency (Timer.monotonic_now () -. t0);
+        Srv.Frontdoor.send conn reply)
+  | Srv.Proto.Estimate { id; sql; schema } ->
+    Srv.Frontdoor.send conn
+      (Srv.Frontdoor.estimate_reply id (evaluate t (prepare t ~id ~sql ~schema)))
   | Srv.Proto.Stats { id } ->
-    send_reply conn (Srv.Proto.R_stats (id, stats_json t))
+    Srv.Frontdoor.send conn (Srv.Proto.R_stats (id, stats_json t))
   | Srv.Proto.Shutdown { id } ->
-    send_reply conn (Srv.Proto.R_ok id);
+    Srv.Frontdoor.send conn (Srv.Proto.R_ok id);
     initiate_shutdown t
-  | Srv.Proto.Compile _ -> assert false (* routed through handle_compile *)
-
-let conn_main t conn ic () =
-  (* Each compile gets its own dispatcher thread: a pipelined client
-     burst fans out across backends concurrently instead of serializing
-     on this connection's read loop. *)
-  let workers = ref [] in
-  let rec loop () =
-    match Srv.Wire.read ic with
-    | None -> ()
-    | Some payload ->
-      (match Result.bind (J.parse payload) Srv.Proto.request_of_json with
-      | Error msg ->
-        send_reply conn (Srv.Proto.R_error { id = 0; message = msg })
-      | Ok req -> (
-        Obs.Counter.incr m_requests;
-        match req with
-        | Srv.Proto.Compile { id; sql; schema; deadline_ms; _ } ->
-          let th =
-            Thread.create
-              (fun () -> handle_compile t conn ~id ~sql ~schema ~deadline_ms)
-              ()
-          in
-          workers := th :: !workers
-        | req -> handle_inline t conn req));
-      loop ()
-  in
-  (try loop () with
-  | Srv.Wire.Framing_error msg ->
-    send_reply conn (Srv.Proto.R_error { id = 0; message = msg })
-  | Sys_error _ | Unix.Unix_error _ | End_of_file -> ());
-  List.iter Thread.join !workers;
-  try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Watchdog                                                            *)
@@ -509,29 +391,7 @@ let watchdog t () =
 (* Listener                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let bind_listen addr =
-  match addr with
-  | `Unix path ->
-    if Sys.file_exists path then (
-      try Unix.unlink path with Unix.Unix_error _ -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | `Tcp (host, port) ->
-    let inet =
-      try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> Unix.inet_addr_of_string host
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (inet, port));
-    Unix.listen fd 64;
-    fd
-
 let run ?(on_ready = fun () -> ()) (cfg : config) =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   if cfg.backends = [] then
     invalid_arg "Qopt_fleet.Router.run: no backends configured";
   let t =
@@ -541,7 +401,6 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
       cache = Cote.Stmt_cache.create ~shared:true ();
       lock = Mutex.create ();
       shutting = false;
-      conns = [];
     }
   in
   let obs_was = !Obs.Control.on in
@@ -554,50 +413,23 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
     Obs.Control.set_enabled obs_was;
     failwith "qopt fleet: a backend never became reachable"
   end;
-  let listen_fd = bind_listen cfg.listen in
   let dog = Thread.create (watchdog t) () in
   let heal = Thread.create (prober t) () in
-  on_ready ();
-  let rec accept_loop () =
-    if shutting t then ()
-    else begin
-      (match Unix.select [ listen_fd ] [] [] 0.05 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept listen_fd with
-        | fd, _ ->
-          let conn =
-            { c_fd = fd; c_oc = Unix.out_channel_of_descr fd; c_wlock = Mutex.create () }
-          in
-          let ic = Unix.in_channel_of_descr fd in
-          let thread = Thread.create (conn_main t conn ic) () in
-          Mutex.protect t.lock (fun () -> t.conns <- (conn, thread) :: t.conns)
-        | exception Unix.Unix_error _ -> ())
-      | exception Unix.Unix_error _ -> ());
-      accept_loop ()
-    end
-  in
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      (match cfg.listen with
-      | `Unix path -> (
-        try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-      | `Tcp _ -> ());
-      initiate_shutdown t;
-      (* The prober must be gone before backends are torn down — a probe
-         racing shutdown could respawn a process nobody would reap. *)
-      Thread.join heal;
-      (* Backends drain first: their running compiles finish and reply,
-         pending router rpcs resolve, then client connections unwind. *)
-      Array.iter Backend.shutdown t.backends;
-      let conns = Mutex.protect t.lock (fun () -> t.conns) in
-      List.iter
-        (fun (conn, _) ->
-          try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL
-          with Unix.Unix_error _ -> ())
-        conns;
-      List.iter (fun (_, thread) -> Thread.join thread) conns;
       Thread.join dog;
       Obs.Control.set_enabled obs_was)
-    accept_loop
+    (fun () ->
+      Srv.Frontdoor.serve ~listen:cfg.listen ~on_ready
+        ~shutting:(fun () -> shutting t)
+        ~handle:(fun conn req -> handle t conn req)
+        ~on_error:(fun () -> Obs.Counter.incr m_errors)
+        ~drain:(fun () ->
+          initiate_shutdown t;
+          (* The prober must be gone before backends are torn down — a
+             probe racing shutdown could respawn a process nobody would
+             reap. *)
+          Thread.join heal;
+          (* Backends drain before client connections: their running
+             compiles finish and reply, and pending router rpcs resolve. *)
+          Array.iter Backend.shutdown t.backends))

@@ -10,9 +10,10 @@
 
     + {b Estimate once}: parse + bind at the router, run one COTE pass
       over the configured level chain, refine with the router's shared
-      statement cache (fed back from measured [c_elapsed_s] in compile
-      replies).  The refined estimate rides along as [estimate_hint_s],
-      so backends started with [--trust-hints] skip their own pass.
+      statement cache under the template key (fed back from measured
+      [c_elapsed_s] in compile replies).  The refined estimate rides
+      along as [estimate_hint_s], so backends started with
+      [--trust-hints] skip their own pass.
     + {b Tier}: predicted seconds at or under [threshold_s] go to the
       latency tier (backends [0, latency_tier)), the rest to the
       throughput tier (the remaining backends, with a higher timeout).
@@ -30,13 +31,18 @@
 
     The router also answers [estimate] (locally, no backend hop),
     [stats] (per-backend health + live backend stats + the router's
-    [fleet.*] metrics), and [shutdown] (drains backends first). *)
+    [fleet.*] metrics), and [shutdown] (drains backends first).
+
+    The socket side and the [error] replies for bad input are
+    {!Qopt_server.Frontdoor}'s, shared with [qopt serve].  Each compile
+    runs on its own dispatcher thread ({!Qopt_server.Frontdoor.spawn}),
+    so a pipelined burst fans out across backends. *)
 
 module O = Qopt_optimizer
 module Srv = Qopt_server
 
 type config = {
-  listen : Srv.Server.addr;
+  listen : Srv.Frontdoor.addr;
   backends : Backend.spec list;
   latency_tier : int;  (** backends reserved for small queries *)
   threshold_s : float;  (** tier split on predicted seconds *)
@@ -53,7 +59,7 @@ type config = {
 }
 
 val default_config :
-  listen:Srv.Server.addr ->
+  listen:Srv.Frontdoor.addr ->
   backends:Backend.spec list ->
   model:Cote.Time_model.t ->
   schemas:(string * Qopt_catalog.Schema.t) list ->

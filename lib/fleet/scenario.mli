@@ -29,7 +29,7 @@ val default_config : config
 (** 4 tenants x 3 bursts of ~24 smalls + ~2 bigs, 20ms pauses, no slow
     start, seed 42. *)
 
-val run : config -> addr:Srv.Server.addr -> Srv.Loadgen.summary
+val run : config -> addr:Srv.Frontdoor.addr -> Srv.Loadgen.summary
 (** Run every tenant to completion against [addr] (a fleet router or a
     single server — the wire protocol is identical) and aggregate all
     bursts into one {!Srv.Loadgen.summary}. *)

@@ -4,7 +4,7 @@ module Timer = Qopt_util.Timer
 type link = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 type t = {
-  addr : Server.addr;
+  addr : Frontdoor.addr;
   attempts : int;
   backoff_s : float;
   mutable link : link option;  (* None between a drop and the next redial *)
@@ -13,27 +13,6 @@ type t = {
 }
 
 type outcome = Reply of Proto.reply | Timeout | Closed
-
-let dial addr =
-  match addr with
-  | `Unix path ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX path)
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-  | `Tcp (host, port) ->
-    let inet =
-      try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> Unix.inet_addr_of_string host
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_INET (inet, port))
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
 
 let link_of fd =
   { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
@@ -49,7 +28,7 @@ let retryable = function
 
 let dial_backoff ~attempts ~backoff_s addr =
   let rec go n delay =
-    match dial addr with
+    match Frontdoor.dial addr with
     | fd -> link_of fd
     | exception Unix.Unix_error (e, _, _) when n + 1 < attempts && retryable e
       ->

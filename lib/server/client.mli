@@ -20,7 +20,7 @@ type outcome =
   | Timeout  (** deadline passed; the connection was dropped *)
   | Closed  (** peer closed or reset mid-wait; the connection was dropped *)
 
-val connect : ?attempts:int -> ?backoff_s:float -> Server.addr -> t
+val connect : ?attempts:int -> ?backoff_s:float -> Frontdoor.addr -> t
 (** Dial, retrying connect-refused/not-yet-bound failures up to
     [attempts] times (default 1 — fail fast) with exponential backoff
     starting at [backoff_s] (default 20ms, capped at 1s).  The settings

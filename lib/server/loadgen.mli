@@ -50,14 +50,14 @@ val warehouse_mix : smalls:int -> bigs:int -> string list
     experiment in the README's Serving section. *)
 
 val run_burst :
-  ?deadline_ms:float -> addr:Server.addr -> sql:string list -> unit -> summary
+  ?deadline_ms:float -> addr:Frontdoor.addr -> sql:string list -> unit -> summary
 (** Pipeline all of [sql] on one connection, then collect one reply per
     request (out-of-order safe: replies are matched by id). *)
 
 val run_closed :
   ?deadline_ms:float ->
   ?clients:int ->
-  addr:Server.addr ->
+  addr:Frontdoor.addr ->
   sql:string list ->
   unit ->
   summary

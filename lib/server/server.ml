@@ -3,7 +3,7 @@ module J = Qopt_util.Json
 module Timer = Qopt_util.Timer
 module Obs = Qopt_obs
 
-type addr = [ `Unix of string | `Tcp of string * int ]
+type addr = Frontdoor.addr
 
 type config = {
   listen : addr;
@@ -131,18 +131,12 @@ type cached_meta = {
   pm_regime : string;
 }
 
-type conn = {
-  c_fd : Unix.file_descr;
-  c_oc : out_channel;
-  c_wlock : Mutex.t;
-}
-
 (* Pure event tallies live in lock-free atomics: a stat bump from a
-   connection thread or a worker domain never touches [t.lock], which now
+   connection thread or a worker domain never touches [t.lock], which
    guards only the coupled admission state (in_flight_s + the shutdown
-   flag, which must be read-modified together under admission) and the
-   connection list.  The lock is a contention-audited {!Qopt_obs.Lock}
-   ([lock.server_state.*]) so its residual traffic stays measured. *)
+   flag, which must be read-modified together under admission).  The lock
+   is a contention-audited {!Qopt_obs.Lock} ([lock.server_state.*]) so its
+   residual traffic stays measured. *)
 type t = {
   cfg : config;
   sched : job Sched.t;
@@ -152,7 +146,6 @@ type t = {
   lock : Obs.Lock.t;
   mutable shutting : bool;
   mutable in_flight_s : float;
-  mutable conns : (conn * Thread.t) list;
   n_requests : int Atomic.t;
   n_admitted : int Atomic.t;
   n_rejected : int Atomic.t;
@@ -213,43 +206,9 @@ let stats_json t =
       ("metrics", Obs.Registry.json_value Obs.Registry.default);
     ]
 
-(* Sending a reply must survive a client that hung up: the job result is
-   dropped but the worker, accounting and every other connection live on. *)
-let send_reply conn reply =
-  try
-    Mutex.protect conn.c_wlock (fun () ->
-        Wire.write conn.c_oc (J.to_string (Proto.reply_to_json reply)))
-  with Sys_error _ | Unix.Unix_error _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Request evaluation (connection threads)                             *)
 (* ------------------------------------------------------------------ *)
-
-(* Resolve a request's schema selection to the (name, schema) pair it
-   denotes: the configured name is part of the plan-cache key, so an
-   omitted selection must resolve to the default schema's real name, not
-   a sentinel that could collide with an explicit one. *)
-let resolve_schema t name =
-  match name with
-  | None -> (
-    match t.cfg.schemas with
-    | (n, s) :: _ -> (n, s)
-    | [] -> failwith "server has no schemas configured")
-  | Some n -> (
-    match List.assoc_opt n t.cfg.schemas with
-    | Some s -> (n, s)
-    | None ->
-      failwith
-        (Printf.sprintf "unknown schema %S (known: %s)" n
-           (String.concat ", " (List.map fst t.cfg.schemas))))
-
-type evaluation = {
-  ev_block : O.Query_block.t;
-  ev_choice : Level.chosen;
-  ev_predicted_s : float;  (* cache-refined when a hit *)
-  ev_model_s : float;  (* the model's own prediction, never cache-refined *)
-  ev_cache_hit : bool;
-}
 
 (* The model serving predictions right now: the recalibrator's atomically
    swapped coefficients when enabled, the configured model otherwise. *)
@@ -258,63 +217,19 @@ let current_model t =
   | None -> t.cfg.model
   | Some r -> Cote.Recalibrate.model r
 
-(* Pick a level and predict for an already-bound block.  The statement
-   cache refines the predicted seconds (a recorded actual beats the model)
-   while the COTE pass still supplies the plan-count fields of the reply.
-   Cache refinement is keyed by the chosen level: an actual recorded for a
-   downgraded compile says nothing about the full-level cost. *)
-let evaluate_block t ~key block =
-  let model = current_model t in
-  let choice =
-    Level.select ~levels:t.cfg.levels ~downgrade_s:t.cfg.downgrade_s
-      ~predict:(fun knobs ->
-        Cote.Predict.compile_time ~budget:t.cfg.budget ~knobs ~model t.cfg.env
-          block)
+(* The shared COTE pass under this server's levels, downgrade threshold
+   and budget, with its downgrades counted. *)
+let evaluate t ~key block =
+  let ev =
+    Frontdoor.evaluate t.cfg.env ~model:(current_model t) ~levels:t.cfg.levels
+      ~downgrade_s:t.cfg.downgrade_s ~budget:t.cfg.budget t.cache ~key block
   in
-  if choice.Level.downgrades > 0 then begin
+  let downgrades = ev.Frontdoor.ev_choice.Level.downgrades in
+  if downgrades > 0 then begin
     Obs.Counter.incr m_downgrades;
-    ignore (Atomic.fetch_and_add t.n_downgrades choice.Level.downgrades)
+    ignore (Atomic.fetch_and_add t.n_downgrades downgrades)
   end;
-  let cached =
-    Cote.Stmt_cache.lookup t.cache
-      ~tag:choice.Level.level.Cote.Multi_level.level_name ~key block
-  in
-  {
-    ev_block = block;
-    ev_choice = choice;
-    ev_predicted_s = Option.value ~default:choice.Level.predicted_s cached;
-    ev_model_s = choice.Level.predicted_s;
-    ev_cache_hit = cached <> None;
-  }
-
-(* The statement cache and the plan cache share one key: the resolved schema
-   name plus the parameter-abstracted template text.  It is at least as
-   fine as the block signature, costs one AST walk, and the schema prefix
-   keeps identical SQL against same-named tables in different schemas
-   apart. *)
-let template_key schema_name ast = schema_name ^ "|" ^ Qopt_sql.Template.key_of ast
-
-let evaluate t ~id ~sql ~schema =
-  let schema_name, schema = resolve_schema t schema in
-  let ast = Qopt_sql.Parser.parse sql in
-  let block = Qopt_sql.Binder.bind ~name:(Printf.sprintf "q%d" id) schema ast in
-  evaluate_block t ~key:(template_key schema_name ast) block
-
-let estimate_reply id ev =
-  let e = ev.ev_choice.Level.prediction.Cote.Predict.estimate in
-  Proto.R_estimate
-    ( id,
-      {
-        Proto.e_predicted_s = ev.ev_predicted_s;
-        e_level = ev.ev_choice.Level.level.Cote.Multi_level.level_name;
-        e_cache_hit = ev.ev_cache_hit;
-        e_joins = e.Cote.Estimator.joins;
-        e_nljn = e.Cote.Estimator.nljn;
-        e_mgjn = e.Cote.Estimator.mgjn;
-        e_hsjn = e.Cote.Estimator.hsjn;
-        e_entries = e.Cote.Estimator.entries;
-        e_estimation_s = e.Cote.Estimator.elapsed;
-      } )
+  ev
 
 (* ------------------------------------------------------------------ *)
 (* Workers (spawned domains)                                           *)
@@ -337,6 +252,57 @@ let cancel_job t job reason =
          queue_s = Timer.monotonic_now () -. job.j_enqueued;
        })
 
+(* Every [compile] reply the server sends — DP, fallback or plan-cache
+   hit — is built here: the rendered plan with its cost and cardinality,
+   the counters the plan cache stores beside it, and the request's own
+   timings. *)
+let compile_reply id ~plan ~cost ~card meta ~elapsed_s ~predicted_s ~queue_s
+    ~cache_hit ~plan_cached =
+  Proto.R_compile
+    ( id,
+      {
+        Proto.c_plan = plan;
+        c_cost = cost;
+        c_card = card;
+        c_joins = meta.pm_joins;
+        c_kept = meta.pm_kept;
+        c_entries = meta.pm_entries;
+        c_elapsed_s = elapsed_s;
+        c_predicted_s = predicted_s;
+        c_level = meta.pm_level;
+        c_queue_s = queue_s;
+        c_cache_hit = cache_hit;
+        c_plan_cached = plan_cached;
+        c_regime = meta.pm_regime;
+      } )
+
+(* A finished compile, DP or fallback: release its reservation, record the
+   actual under [tag], store the plan, account and reply. *)
+let complete t job ~now ~tag ~elapsed_s best meta =
+  release t job;
+  Cote.Stmt_cache.record t.cache ~tag ~key:job.j_key job.j_block elapsed_s;
+  (match (t.pcache, best) with
+  | Some pc, Some plan -> Cote.Plan_cache.store pc ~key:job.j_key job.j_block ~plan meta
+  | _ -> ());
+  Obs.Counter.incr m_compiles;
+  Obs.Histo.observe m_latency (Timer.monotonic_now () -. job.j_enqueued);
+  (* Model-vs-actual, not refined-vs-actual: the histogram is the drift
+     evidence, so a stmt-cache hit must not flatter it. *)
+  if elapsed_s > 0.0 then
+    Obs.Histo.observe m_est_err
+      (Float.abs (job.j_model_s -. elapsed_s) /. elapsed_s *. 100.0);
+  Atomic.incr t.n_compiles;
+  let plan, cost, card =
+    match best with
+    | Some p ->
+      (Some (Format.asprintf "%a" O.Plan.pp_compact p), p.O.Plan.cost, p.O.Plan.card)
+    | None -> (None, 0.0, 0.0)
+  in
+  job.j_send
+    (compile_reply job.j_id ~plan ~cost ~card meta ~elapsed_s
+       ~predicted_s:job.j_predicted_s ~queue_s:(now -. job.j_enqueued)
+       ~cache_hit:job.j_cache_hit ~plan_cached:false)
+
 (* A compile served by the spanning-tree regime — chosen up front (Greedy)
    or as the mid-compile rescue of a DP pass that blew its budget
    (Dp_budget_fallback).  Actuals are recorded under the "greedy" statement
@@ -348,54 +314,15 @@ let run_fallback t job ~now ~interrupt regime =
     O.Optimizer.optimize_fallback t.cfg.env ~interrupt
       ~restarts:t.cfg.greedy_restarts job.j_block
   in
-  release t job;
-  Cote.Stmt_cache.record t.cache ~tag:"greedy" ~key:job.j_key job.j_block
-    fb.O.Optimizer.fb_elapsed;
-  (match (t.pcache, fb.O.Optimizer.fb_best) with
-  | Some pc, Some plan ->
-    Cote.Plan_cache.store pc ~key:job.j_key job.j_block ~plan
-      {
-        pm_joins = fb.O.Optimizer.fb_joins;
-        pm_kept = 0;
-        pm_entries = 0;
-        pm_level = job.j_level;
-        pm_regime = Cote.Regime.to_string regime;
-      }
-  | _ -> ());
-  Obs.Counter.incr m_compiles;
-  Obs.Histo.observe m_latency (Timer.monotonic_now () -. job.j_enqueued);
-  if fb.O.Optimizer.fb_elapsed > 0.0 then
-    Obs.Histo.observe m_est_err
-      (Float.abs (job.j_model_s -. fb.O.Optimizer.fb_elapsed)
-      /. fb.O.Optimizer.fb_elapsed *. 100.0);
-  Atomic.incr t.n_compiles;
-  job.j_send
-    (Proto.R_compile
-       ( job.j_id,
-         {
-           Proto.c_plan =
-             Option.map
-               (Format.asprintf "%a" O.Plan.pp_compact)
-               fb.O.Optimizer.fb_best;
-           c_cost =
-             (match fb.O.Optimizer.fb_best with
-             | Some p -> p.O.Plan.cost
-             | None -> 0.0);
-           c_card =
-             (match fb.O.Optimizer.fb_best with
-             | Some p -> p.O.Plan.card
-             | None -> 0.0);
-           c_joins = fb.O.Optimizer.fb_joins;
-           c_kept = 0;
-           c_entries = 0;
-           c_elapsed_s = fb.O.Optimizer.fb_elapsed;
-           c_predicted_s = job.j_predicted_s;
-           c_level = job.j_level;
-           c_queue_s = now -. job.j_enqueued;
-           c_cache_hit = job.j_cache_hit;
-           c_plan_cached = false;
-           c_regime = Cote.Regime.to_string regime;
-         } ))
+  complete t job ~now ~tag:"greedy" ~elapsed_s:fb.O.Optimizer.fb_elapsed
+    fb.O.Optimizer.fb_best
+    {
+      pm_joins = fb.O.Optimizer.fb_joins;
+      pm_kept = 0;
+      pm_entries = 0;
+      pm_level = job.j_level;
+      pm_regime = Cote.Regime.to_string regime;
+    }
 
 let job_error t job e =
   release t job;
@@ -429,9 +356,6 @@ and run_dp t job ~now ~interrupt =
       ~knobs:job.j_knobs job.j_block
   with
     | r ->
-      release t job;
-      Cote.Stmt_cache.record t.cache ~tag:job.j_level ~key:job.j_key job.j_block
-        r.O.Optimizer.elapsed;
       (match t.recal with
       | None -> ()
       | Some recal ->
@@ -447,53 +371,15 @@ and run_dp t job ~now ~interrupt =
              ~hsjn:(float_of_int r.O.Optimizer.generated.O.Memo.hsjn)
              ~joins:(float_of_int r.O.Optimizer.joins)
              ~predicted_s:job.j_model_s ~elapsed_s:r.O.Optimizer.elapsed ()));
-      (match (t.pcache, r.O.Optimizer.best) with
-      | Some pc, Some plan ->
-        Cote.Plan_cache.store pc ~key:job.j_key job.j_block ~plan
-          {
-            pm_joins = r.O.Optimizer.joins;
-            pm_kept = r.O.Optimizer.kept;
-            pm_entries = r.O.Optimizer.entries;
-            pm_level = job.j_level;
-            pm_regime = Cote.Regime.to_string Cote.Regime.Dp;
-          }
-      | _ -> ());
-      Obs.Counter.incr m_compiles;
-      Obs.Histo.observe m_latency (Timer.monotonic_now () -. job.j_enqueued);
-      (* Model-vs-actual, not refined-vs-actual: the histogram is the
-         drift evidence, so a stmt-cache hit must not flatter it. *)
-      if r.O.Optimizer.elapsed > 0.0 then
-        Obs.Histo.observe m_est_err
-          (Float.abs (job.j_model_s -. r.O.Optimizer.elapsed)
-          /. r.O.Optimizer.elapsed *. 100.0);
-      Atomic.incr t.n_compiles;
-      job.j_send
-        (Proto.R_compile
-           ( job.j_id,
-             {
-               Proto.c_plan =
-                 Option.map
-                   (Format.asprintf "%a" O.Plan.pp_compact)
-                   r.O.Optimizer.best;
-               c_cost =
-                 (match r.O.Optimizer.best with
-                 | Some p -> p.O.Plan.cost
-                 | None -> 0.0);
-               c_card =
-                 (match r.O.Optimizer.best with
-                 | Some p -> p.O.Plan.card
-                 | None -> 0.0);
-               c_joins = r.O.Optimizer.joins;
-               c_kept = r.O.Optimizer.kept;
-               c_entries = r.O.Optimizer.entries;
-               c_elapsed_s = r.O.Optimizer.elapsed;
-               c_predicted_s = job.j_predicted_s;
-               c_level = job.j_level;
-               c_queue_s = now -. job.j_enqueued;
-               c_cache_hit = job.j_cache_hit;
-               c_plan_cached = false;
-               c_regime = Cote.Regime.to_string Cote.Regime.Dp;
-             } ))
+      complete t job ~now ~tag:job.j_level ~elapsed_s:r.O.Optimizer.elapsed
+        r.O.Optimizer.best
+        {
+          pm_joins = r.O.Optimizer.joins;
+          pm_kept = r.O.Optimizer.kept;
+          pm_entries = r.O.Optimizer.entries;
+          pm_level = job.j_level;
+          pm_regime = Cote.Regime.to_string Cote.Regime.Dp;
+        }
   | exception O.Optimizer.Interrupted -> cancel_job t job "deadline"
   | exception O.Budget.Exceeded _ -> (
     (* The estimate said DP fits, the MEMO said otherwise: rescue the
@@ -531,7 +417,7 @@ let worker_main t slot () =
 let reject t conn req_id ~estimate_s ~in_flight_s reason =
   Obs.Counter.incr m_rejected;
   Atomic.incr t.n_rejected;
-  send_reply conn
+  Frontdoor.send conn
     (Proto.R_rejected
        {
          id = req_id;
@@ -573,28 +459,14 @@ let serve_plan_hit t conn req_id ~arrival plan (meta : cached_meta) =
   | Ok () ->
     Obs.Counter.incr m_admitted;
     Obs.Histo.observe m_latency (Timer.monotonic_now () -. arrival);
-    send_reply conn
-      (Proto.R_compile
-         ( req_id,
-           {
-             Proto.c_plan = Some (Format.asprintf "%a" O.Plan.pp_compact plan);
-             c_cost = plan.O.Plan.cost;
-             c_card = plan.O.Plan.card;
-             c_joins = meta.pm_joins;
-             c_kept = meta.pm_kept;
-             c_entries = meta.pm_entries;
-             c_elapsed_s = 0.0;
-             c_predicted_s = 0.0;
-             c_level = meta.pm_level;
-             c_queue_s = 0.0;
-             (* [c_cache_hit] everywhere else means "Stmt_cache refined
-                the predicted seconds"; the statement cache is never
-                consulted on this path, so report false — [c_plan_cached]
-                is the hit signal. *)
-             c_cache_hit = false;
-             c_plan_cached = true;
-             c_regime = meta.pm_regime;
-           } ))
+    (* [c_cache_hit] everywhere else means "Stmt_cache refined the
+       predicted seconds"; the statement cache is never consulted on this
+       path, so report false — [c_plan_cached] is the hit signal. *)
+    Frontdoor.send conn
+      (compile_reply req_id
+         ~plan:(Some (Format.asprintf "%a" O.Plan.pp_compact plan))
+         ~cost:plan.O.Plan.cost ~card:plan.O.Plan.card meta ~elapsed_s:0.0
+         ~predicted_s:0.0 ~queue_s:0.0 ~cache_hit:false ~plan_cached:true)
 
 (* The greedy regime's prediction needs nothing but the join graph: both
    features are summed over all blocks, matching what
@@ -636,14 +508,15 @@ let compile_cold t conn req_id ~arrival ~key ~estimate_hint_s block
           hint,
           false )
     | Some _ | None -> (
-      match evaluate_block t ~key block with
+      match evaluate t ~key block with
       | ev ->
+        let choice = ev.Frontdoor.ev_choice in
         Some
-          ( ev.ev_choice.Level.level.Cote.Multi_level.level_knobs,
-            ev.ev_choice.Level.level.Cote.Multi_level.level_name,
-            ev.ev_predicted_s,
-            ev.ev_model_s,
-            ev.ev_cache_hit )
+          ( choice.Level.level.Cote.Multi_level.level_knobs,
+            choice.Level.level.Cote.Multi_level.level_name,
+            ev.Frontdoor.ev_predicted_s,
+            choice.Level.predicted_s,
+            ev.Frontdoor.ev_cache_hit )
       | exception O.Budget.Exceeded _ -> None)
   in
   let greedy_s = greedy_predicted t block in
@@ -707,7 +580,7 @@ let compile_cold t conn req_id ~arrival ~key ~estimate_hint_s block
         j_key = key;
         j_deadline = Option.map (fun d -> arrival +. d) deadline_s;
         j_enqueued = Timer.monotonic_now ();
-        j_send = send_reply conn;
+        j_send = Frontdoor.send conn;
       }
     in
     if Sched.push t.sched ~priority:job.j_predicted_s job then
@@ -717,28 +590,19 @@ let compile_cold t conn req_id ~arrival ~key ~estimate_hint_s block
          shutdown won the race, so account and answer like a rejection. *)
       cancel_job t job "shutdown"
 
-let handle_compile t conn req_id sql schema deadline_ms estimate_hint_s =
+let handle_compile t conn ~id ~sql ~schema ~deadline_ms ~estimate_hint_s =
   let arrival = Timer.monotonic_now () in
-  let schema_name, schema = resolve_schema t schema in
-  let ast = Qopt_sql.Parser.parse sql in
-  (* Key on the template, not the block signature (see [template_key]):
-     the template also separates string- from numeric-literal statements,
-     and envelope/generation revalidation cannot tell same-SQL twins in
-     different schemas apart.  (Dependent table names inside the plan
-     cache stay unqualified: a stats bump for one schema's table then
-     flushes its same-named twins too, which is conservative, never
-     stale.) *)
-  let key = template_key schema_name ast in
-  let block = Qopt_sql.Binder.bind ~name:(Printf.sprintf "q%d" req_id) schema ast in
+  let p = Frontdoor.prepare ~who:"server" t.cfg.schemas ~id ~sql ~schema in
   let cold () =
-    compile_cold t conn req_id ~arrival ~key ~estimate_hint_s block deadline_ms
+    compile_cold t conn id ~arrival ~key:p.Frontdoor.p_key ~estimate_hint_s
+      p.Frontdoor.p_block deadline_ms
   in
   match t.pcache with
   | None -> cold ()
   | Some pc -> (
-    match Cote.Plan_cache.lookup pc ~key block with
+    match Cote.Plan_cache.lookup pc ~key:p.Frontdoor.p_key p.Frontdoor.p_block with
     | Cote.Plan_cache.Hit { plan; payload } ->
-      serve_plan_hit t conn req_id ~arrival plan payload
+      serve_plan_hit t conn id ~arrival plan payload
     | Cote.Plan_cache.Miss | Cote.Plan_cache.Invalidated _ -> cold ())
 
 let initiate_shutdown t =
@@ -758,104 +622,26 @@ let initiate_shutdown t =
     List.iter (fun job -> cancel_job t job "shutdown") leftovers
   end
 
-let handle_request t conn req =
+(* Front-end failures raised here become [error] replies in
+   {!Frontdoor.serve}, counted by [run]'s [on_error]. *)
+let handle t conn req =
   Atomic.incr t.n_requests;
   Obs.Counter.incr m_requests;
   match req with
-  | Proto.Estimate { id; sql; schema } -> (
-    match evaluate t ~id ~sql ~schema with
-    | ev ->
-      Obs.Counter.incr m_estimates;
-      Atomic.incr t.n_estimates;
-      send_reply conn (estimate_reply id ev)
-    | exception O.Budget.Exceeded b ->
-      Atomic.incr t.n_errors;
-      Obs.Counter.incr m_errors;
-      send_reply conn
-        (Proto.R_error
-           { id; message = Format.asprintf "%a" O.Budget.pp_blown b })
-    | exception
-        ( Failure msg
-        | Qopt_sql.Parser.Error msg
-        | Qopt_sql.Binder.Error msg
-        | Invalid_argument msg ) ->
-      Atomic.incr t.n_errors;
-      Obs.Counter.incr m_errors;
-      send_reply conn (Proto.R_error { id; message = msg })
-    | exception Qopt_sql.Lexer.Error (msg, at) ->
-      Atomic.incr t.n_errors;
-      Obs.Counter.incr m_errors;
-      send_reply conn
-        (Proto.R_error { id; message = Printf.sprintf "%s (at byte %d)" msg at }))
-  | Proto.Compile { id; sql; schema; deadline_ms; estimate_hint_s } -> (
-    match handle_compile t conn id sql schema deadline_ms estimate_hint_s with
-    | () -> ()
-    | exception
-        ( Failure msg
-        | Qopt_sql.Parser.Error msg
-        | Qopt_sql.Binder.Error msg
-        | Invalid_argument msg ) ->
-      Atomic.incr t.n_errors;
-      Obs.Counter.incr m_errors;
-      send_reply conn (Proto.R_error { id; message = msg })
-    | exception Qopt_sql.Lexer.Error (msg, at) ->
-      Atomic.incr t.n_errors;
-      Obs.Counter.incr m_errors;
-      send_reply conn
-        (Proto.R_error { id; message = Printf.sprintf "%s (at byte %d)" msg at }))
-  | Proto.Stats { id } -> send_reply conn (Proto.R_stats (id, stats_json t))
+  | Proto.Estimate { id; sql; schema } ->
+    let p = Frontdoor.prepare ~who:"server" t.cfg.schemas ~id ~sql ~schema in
+    let ev = evaluate t ~key:p.Frontdoor.p_key p.Frontdoor.p_block in
+    Obs.Counter.incr m_estimates;
+    Atomic.incr t.n_estimates;
+    Frontdoor.send conn (Frontdoor.estimate_reply id ev)
+  | Proto.Compile { id; sql; schema; deadline_ms; estimate_hint_s } ->
+    handle_compile t conn ~id ~sql ~schema ~deadline_ms ~estimate_hint_s
+  | Proto.Stats { id } -> Frontdoor.send conn (Proto.R_stats (id, stats_json t))
   | Proto.Shutdown { id } ->
-    send_reply conn (Proto.R_ok id);
+    Frontdoor.send conn (Proto.R_ok id);
     initiate_shutdown t
 
-let conn_main t conn ic () =
-  let rec loop () =
-    match Wire.read ic with
-    | None -> ()
-    | Some payload ->
-      (match J.parse payload with
-      | Error msg -> send_reply conn (Proto.R_error { id = 0; message = msg })
-      | Ok doc -> (
-        match Proto.request_of_json doc with
-        | Error msg -> send_reply conn (Proto.R_error { id = 0; message = msg })
-        | Ok req -> handle_request t conn req));
-      loop ()
-  in
-  (try loop () with
-  | Wire.Framing_error msg ->
-    send_reply conn (Proto.R_error { id = 0; message = msg })
-  | Sys_error _ | Unix.Unix_error _ | End_of_file -> ());
-  (* Closing the out_channel closes the underlying fd (kept single-owner:
-     the in_channel shares the fd, so only the fd must not double-close). *)
-  try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Listener                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let bind_listen addr =
-  match addr with
-  | `Unix path ->
-    if Sys.file_exists path then (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | `Tcp (host, port) ->
-    let inet =
-      try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> Unix.inet_addr_of_string host
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (inet, port));
-    Unix.listen fd 64;
-    fd
-
 let run ?(on_ready = fun () -> ()) cfg =
-  (* A client hanging up mid-reply must be an EPIPE error, not a fatal
-     signal. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let workers = max 1 (min cfg.workers (Obs.Shard.max_slots - 1)) in
   let t =
     {
@@ -873,7 +659,6 @@ let run ?(on_ready = fun () -> ()) cfg =
       lock = Obs.Lock.create "server_state";
       shutting = false;
       in_flight_s = 0.0;
-      conns = [];
       n_requests = Atomic.make 0;
       n_admitted = Atomic.make 0;
       n_rejected = Atomic.make 0;
@@ -890,55 +675,20 @@ let run ?(on_ready = fun () -> ()) cfg =
   in
   let obs_was = !Obs.Control.on in
   Obs.Control.set_enabled true;
-  let listen_fd = bind_listen cfg.listen in
   let domains =
     Array.init workers (fun i -> Domain.spawn (worker_main t (i + 1)))
   in
-  on_ready ();
-  (* Accept with a poll timeout so a shutdown request (handled on a
-     connection thread) stops the loop within one tick — closing a
-     listening fd does not reliably wake a blocked accept. *)
-  let rec accept_loop () =
-    if Obs.Lock.with_lock t.lock (fun () -> t.shutting) then ()
-    else begin
-      (match Unix.select [ listen_fd ] [] [] 0.05 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept listen_fd with
-        | fd, _ ->
-          let conn =
-            {
-              c_fd = fd;
-              c_oc = Unix.out_channel_of_descr fd;
-              c_wlock = Mutex.create ();
-            }
-          in
-          let ic = Unix.in_channel_of_descr fd in
-          let thread = Thread.create (conn_main t conn ic) () in
-          Obs.Lock.with_lock t.lock (fun () ->
-              t.conns <- (conn, thread) :: t.conns)
-        | exception Unix.Unix_error _ -> ())
-      | exception Unix.Unix_error _ -> ());
-      accept_loop ()
-    end
-  in
   Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      (match cfg.listen with
-      | `Unix path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-      | `Tcp _ -> ());
-      (* The queue is already drained and closed (shutdown) — or must be
-         closed now if run is unwinding on an exception. *)
-      initiate_shutdown t;
-      Array.iter Domain.join domains;
-      (* Wake connection threads blocked mid-read, then join them. *)
-      let conns = Obs.Lock.with_lock t.lock (fun () -> t.conns) in
-      List.iter
-        (fun (conn, _) ->
-          try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL
-          with Unix.Unix_error _ -> ())
-        conns;
-      List.iter (fun (_, thread) -> Thread.join thread) conns;
-      Obs.Control.set_enabled obs_was)
-    accept_loop
+    ~finally:(fun () -> Obs.Control.set_enabled obs_was)
+    (fun () ->
+      Frontdoor.serve ~listen:cfg.listen ~on_ready
+        ~shutting:(fun () -> Obs.Lock.with_lock t.lock (fun () -> t.shutting))
+        ~handle:(fun conn req -> handle t conn req)
+        ~on_error:(fun () ->
+          Atomic.incr t.n_errors;
+          Obs.Counter.incr m_errors)
+        ~drain:(fun () ->
+          (* The queue is already drained and closed (shutdown) — or must
+             be closed now if serve is unwinding on an exception. *)
+          initiate_shutdown t;
+          Array.iter Domain.join domains))

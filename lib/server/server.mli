@@ -15,21 +15,22 @@
     - {b level selection} ({!Level}): estimates above a threshold
       downgrade the optimization level before compiling.
 
-    Concurrency model: one connection-handler thread per client (parses,
-    estimates, admits, replies to [estimate]/[stats] inline) and
-    [workers] spawned domains executing compiles.  Worker domains claim
-    distinct {!Qopt_obs.Shard} slots — the PR 3 contract — so [server.*]
-    and optimizer metrics shard cleanly.  A statement cache
-    ({!Cote.Stmt_cache} [~shared:true]) is shared across all connections:
-    recorded actual compile times refine the admission estimate for
-    queries with the same template.  It is keyed by the request's
-    schema-qualified, literal-abstracted template key — the plan cache's
-    key, at least as fine as the block signature — so the server never
-    renders a signature. *)
+    The socket side — listener, one thread per connection, framing,
+    replies, schema resolution, parse/bind/template key, the COTE pass and
+    the [error] replies for bad input — is {!Frontdoor}'s; this module is
+    the policy behind it.  Connection threads run admission inline and
+    answer [estimate], [stats] and plan-cache hits themselves; [workers]
+    spawned domains execute compiles.  Worker domains claim distinct
+    {!Qopt_obs.Shard} slots so [server.*] and optimizer metrics shard
+    cleanly.  A statement cache ({!Cote.Stmt_cache} [~shared:true]) is
+    shared across all connections: recorded actual compile times refine
+    the admission estimate for queries with the same
+    template key ({!Frontdoor.prepared}). *)
 
 module O = Qopt_optimizer
 
-type addr = [ `Unix of string | `Tcp of string * int ]
+type addr = Frontdoor.addr
+(** Kept under this name for callers that only know the server. *)
 
 type config = {
   listen : addr;
@@ -118,7 +119,7 @@ type stats = {
 }
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
-(** Binds, listens, serves until a [shutdown] request arrives, then
+(** Serves ({!Frontdoor.serve}) until a [shutdown] request arrives, then
     drains: queued jobs are cancelled (reason ["shutdown"]), the running
     compile finishes, workers and connection threads are joined, and the
     socket is closed (a Unix socket file is unlinked).  [on_ready] fires

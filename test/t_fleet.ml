@@ -2,9 +2,10 @@
    Unix socket in front of in-process backends (compile replies must
    match a direct single server bit-for-bit on deterministic fields, and
    repeat templates must concentrate on one backend), backend rejections
-   surfacing through the router with the original request id, and a
-   spawned fleet surviving SIGKILL of its hottest backend mid-stream
-   with zero lost requests. *)
+   surfacing through the router with the original request id, one table
+   of bad inputs answered with the same structured errors by a server
+   and a router, and a spawned fleet surviving SIGKILL of its hottest
+   backend mid-stream with zero lost requests. *)
 
 module O = Qopt_optimizer
 module W = Qopt_workloads
@@ -361,6 +362,120 @@ let router_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Front-end errors: one table, both front doors                       *)
+(* ------------------------------------------------------------------ *)
+
+let with_single_server f =
+  let path = next_sock "single" in
+  let th = start_inproc_server path in
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         let c = Srv.Client.connect (`Unix path) in
+         ignore (Srv.Client.request c (Srv.Proto.Shutdown { id = 999_996 }));
+         Srv.Client.close c
+       with Unix.Unix_error _ | Sys_error _ -> ());
+      Thread.join th;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f (`Unix path))
+
+let frame payload = Printf.sprintf "%d\n%s\n" (String.length payload) payload
+
+let request_frame req = frame (J.to_string (Srv.Proto.request_to_json req))
+
+(* (case, bytes sent, reply id, message fragment, closes the connection) *)
+let front_end_cases =
+  let estimate ?schema id sql =
+    request_frame (Srv.Proto.Estimate { id; sql; schema })
+  in
+  let compile ?schema id sql =
+    request_frame
+      (Srv.Proto.Compile
+         { id; sql; schema; deadline_ms = None; estimate_hint_s = None })
+  in
+  [
+    ("bad JSON", frame "{\"op\":", 0, "", false);
+    ("unknown op", frame "{\"op\":\"frobnicate\",\"id\":7}", 0, "unknown request op", false);
+    ("unknown schema", estimate ~schema:"nope" 11 (small_sql 1), 11, "unknown schema", false);
+    ("unknown schema (compile)", compile ~schema:"nope" 21 (small_sql 1), 21, "unknown schema", false);
+    ("lexer error", estimate 12 "SELECT ' FROM store s", 12, "at byte", false);
+    ("lexer error (compile)", compile 22 "SELECT ' FROM store s", 22, "at byte", false);
+    ("parse error", estimate 13 "SELECT FROM store s", 13, "", false);
+    ("binder error", estimate 14 "SELECT x.a FROM no_such_table x", 14, "no_such_table", false);
+    ("binder error (compile)", compile 24 "SELECT x.a FROM no_such_table x", 24, "no_such_table", false);
+    ("empty SQL", estimate 15 "", 15, "", false);
+    ("oversized frame header", "99999999999\n", 0, "out of bounds", true);
+  ]
+
+let read_reply ic =
+  Option.map
+    (fun payload ->
+      match Result.bind (J.parse payload) Srv.Proto.reply_of_json with
+      | Ok r -> r
+      | Error msg -> Alcotest.fail msg)
+    (Srv.Wire.read ic)
+
+let check_front_end_errors addr =
+  List.iter
+    (fun (case, bytes, want_id, fragment, closes) ->
+      let fd = Srv.Frontdoor.dial addr in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let ic = Unix.in_channel_of_descr fd in
+          let oc = Unix.out_channel_of_descr fd in
+          output_string oc bytes;
+          flush oc;
+          (match read_reply ic with
+          | Some (Srv.Proto.R_error { id; message }) ->
+            Alcotest.(check int) (case ^ ": id") want_id id;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: message %S mentions %S" case message fragment)
+              true
+              (message <> "" && Helpers.contains message fragment)
+          | Some r ->
+            Alcotest.failf "%s: expected an error reply, got %s" case
+              (J.to_string (Srv.Proto.reply_to_json r))
+          | None -> Alcotest.failf "%s: connection closed without a reply" case);
+          if closes then
+            Alcotest.(check bool) (case ^ ": connection closed") true
+              (read_reply ic = None)
+          else begin
+            Srv.Wire.write oc
+              (J.to_string (Srv.Proto.request_to_json (Srv.Proto.Stats { id = 99 })));
+            match read_reply ic with
+            | Some (Srv.Proto.R_stats (99, _)) -> ()
+            | _ -> Alcotest.failf "%s: connection no longer answers stats" case
+          end))
+    front_end_cases
+
+let front_end_tests =
+  [
+    t "server answers every front-end error with structure" (fun () ->
+        with_single_server check_front_end_errors);
+    t "router answers every front-end error with structure" (fun () ->
+        with_fleet ~n:1 check_front_end_errors);
+    t "router statement cache refines the next estimate of a compiled template"
+      (fun () ->
+        with_fleet ~n:2 (fun addr ->
+            let c = Srv.Client.connect addr in
+            Fun.protect
+              ~finally:(fun () -> Srv.Client.close c)
+              (fun () ->
+                ignore (compile_exn c (small_sql 3));
+                let id = Srv.Client.fresh_id c in
+                match
+                  request_exn c
+                    (Srv.Proto.Estimate { id; sql = small_sql 4; schema = None })
+                with
+                | Srv.Proto.R_estimate (_, e) ->
+                  Alcotest.(check bool) "cache_hit" true e.Srv.Proto.e_cache_hit
+                | r ->
+                  Alcotest.failf "expected estimate reply, got %s"
+                    (J.to_string (Srv.Proto.reply_to_json r)))));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* SIGKILL failover on a spawned fleet                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -504,4 +619,4 @@ let failover_tests =
                 wait_respawn ())))
   ]
 
-let suite = rendezvous_tests @ router_tests @ failover_tests
+let suite = rendezvous_tests @ router_tests @ front_end_tests @ failover_tests

@@ -800,6 +800,76 @@ let server_tests =
                     "SELECT ' FROM store s";
                     "";
                   ])));
+    t "replies for a hung-up client never reach the next connection" (fun () ->
+        (* A client hangs up with compiles still queued.  The server closes
+           its descriptor and the kernel hands the same number to the next
+           connection; the abandoned compiles still finish, and their
+           replies must be dropped, not written to the newcomer — whose own
+           request ids start at 1 like everyone's. *)
+        with_server (fun addr ->
+            let probe = Srv.Client.connect addr in
+            Fun.protect
+              ~finally:(fun () -> Srv.Client.close probe)
+              (fun () ->
+                let write oc req =
+                  Srv.Wire.write oc (J.to_string (Srv.Proto.request_to_json req))
+                in
+                let compile id sql =
+                  Srv.Proto.Compile
+                    { id; sql; schema = None; deadline_ms = None; estimate_hint_s = None }
+                in
+                let a = Srv.Frontdoor.dial addr in
+                let a_oc = Unix.out_channel_of_descr a in
+                for id = 1 to 6 do
+                  write a_oc (compile id big_sql)
+                done;
+                wait_for_stats probe (fun doc -> stat doc "admitted" = 6);
+                Unix.close a;
+                (* Give the server's connection thread time to see the
+                   hang-up and close its end. *)
+                Thread.delay 0.05;
+                let b = Srv.Frontdoor.dial addr in
+                Fun.protect
+                  ~finally:(fun () -> Unix.close b)
+                  (fun () ->
+                    let b_ic = Unix.in_channel_of_descr b in
+                    write (Unix.out_channel_of_descr b) (compile 1 small_sql);
+                    let next_reply () =
+                      Option.map
+                        (fun payload ->
+                          match
+                            Result.bind (J.parse payload) Srv.Proto.reply_of_json
+                          with
+                          | Ok r -> r
+                          | Error msg -> Alcotest.fail msg)
+                        (Srv.Wire.read b_ic)
+                    in
+                    let small_plan =
+                      Option.map
+                        (Format.asprintf "%a" O.Plan.pp_compact)
+                        (O.Optimizer.optimize O.Env.serial
+                           (Qopt_sql.Binder.parse_and_bind schema small_sql))
+                          .O.Optimizer.best
+                    in
+                    (match next_reply () with
+                    | Some (Srv.Proto.R_compile (1, body)) ->
+                      Alcotest.(check (option string))
+                        "id 1 carries this client's plan" small_plan
+                        body.Srv.Proto.c_plan
+                    | Some r ->
+                      Alcotest.failf "unexpected reply %s"
+                        (J.to_string (Srv.Proto.reply_to_json r))
+                    | None -> Alcotest.fail "connection closed without a reply");
+                    (* Every abandoned compile has run; then hang up and read
+                       what is left: nothing. *)
+                    wait_for_stats probe (fun doc -> stat doc "compiles" = 7);
+                    Thread.delay 0.05;
+                    Unix.shutdown b Unix.SHUTDOWN_SEND;
+                    match next_reply () with
+                    | None -> ()
+                    | Some r ->
+                      Alcotest.failf "received a reply it never asked for: %s"
+                        (J.to_string (Srv.Proto.reply_to_json r))))));
   ]
 
 (* ------------------------------------------------------------------ *)
