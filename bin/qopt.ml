@@ -343,10 +343,14 @@ let batch_cmd =
 let calibrate_cmd =
   let run env =
     wrap (fun () ->
-        let model = E.Common.model_for env in
-        Format.printf "time model (%a): %a@." O.Env.pp env Cote.Time_model.pp model)
+        let model = E.Common.startup_model env in
+        Format.printf "time model (%a): %a@.--model %s@." O.Env.pp env
+          Cote.Time_model.pp model (Cote.Time_model.to_string model))
   in
-  Cmd.v (Cmd.info "calibrate" ~doc:"Fit and print the time model")
+  Cmd.v
+    (Cmd.info "calibrate"
+       ~doc:"Fit and print the time model a server fits with --model \
+             calibrated, and its exact --model text form")
     Term.(ret (const run $ env_term))
 
 let experiment_cmd =
@@ -415,14 +419,59 @@ let tcp_term =
     & opt (some string) None
     & info [ "tcp" ] ~docv:"HOST:PORT" ~doc:"listen/connect on TCP instead")
 
-(* The canned model ships rough serial-environment coefficients so a server
-   can start instantly; --model calibrated re-fits on the calibration
-   workload at startup (a few seconds) for this machine's actual speeds. *)
-let model_of env = function
+(* --model: the canned model ships rough serial-environment coefficients so
+   a server can start instantly; "calibrated" fits them at startup for this
+   machine's actual speeds, with one compile of each calibration query
+   (E.Common.startup_model, about 0.6 s on a 2-vCPU host); anything else is
+   a model in Time_model.to_string's exact text form, which is how qopt
+   fleet hands its own fit to the backends it spawns.  Returns the model and
+   the wall seconds its fit took (0 when none ran).  Metrics collection is
+   on from here, as for the rest of a server's life, so [stats] shows what
+   the fit compiled. *)
+let model_of env spec =
+  Obs.Control.set_enabled true;
+  match spec with
   | "default" ->
-    Cote.Time_model.make ~c_nljn:2e-6 ~c_mgjn:5e-6 ~c_hsjn:4e-6 ()
-  | "calibrated" -> E.Common.model_for env
-  | m -> failwith (Printf.sprintf "unknown model %S (default|calibrated)" m)
+    (Cote.Time_model.make ~c_nljn:2e-6 ~c_mgjn:5e-6 ~c_hsjn:4e-6 (), 0.0)
+  | "calibrated" ->
+    let t0 = Qopt_util.Timer.monotonic_now () in
+    let m = E.Common.startup_model env in
+    (m, Qopt_util.Timer.monotonic_now () -. t0)
+  | text -> (
+    match Cote.Time_model.of_string text with
+    | Some m -> (m, 0.0)
+    | None ->
+      failwith
+        (Printf.sprintf
+           "unknown model %S (default, calibrated or \
+            c_nljn=H,c_mgjn=H,c_hsjn=H,c_join=H)"
+           text))
+
+let model_doc =
+  "time model: $(b,default) (canned coefficients, instant start), \
+   $(b,calibrated) (fit at startup from one compile of each calibration \
+   query, under a second) or the exact text form \
+   $(i,c_nljn=H,c_mgjn=H,c_hsjn=H,c_join=H) with hexadecimal floats, as \
+   $(b,qopt calibrate) prints it"
+
+(* The MEMO caps of serve, shared by fleet (which applies them at the
+   router and hands them to every backend). *)
+let max_memo_entries_term =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "max-memo-entries" ] ~docv:"N"
+        ~doc:"abort any DP pass (estimate or compile) whose MEMO grows \
+              past N entries and serve the query with the spanning-tree \
+              regime instead")
+
+let max_kept_plans_term =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "max-kept-plans" ] ~docv:"N"
+        ~doc:"abort any DP pass holding more than N pruned-surviving \
+              plans and fall back to the spanning-tree regime")
 
 let serve_cmd =
   let workers_term =
@@ -434,11 +483,7 @@ let serve_cmd =
       & info [ "mode" ] ~doc:"scheduling: sjf (default) or fifo")
   in
   let model_term =
-    Arg.(
-      value & opt string "default"
-      & info [ "model" ]
-          ~doc:"time model: default (canned coefficients) or calibrated \
-                (fit at startup)")
+    Arg.(value & opt string "default" & info [ "model" ] ~doc:model_doc)
   in
   let per_request_term =
     Arg.(
@@ -532,23 +577,6 @@ let serve_cmd =
                 running a local COTE pass (fleet backends behind a router \
                 that estimates once); ignored when --downgrade-s is set")
   in
-  let max_memo_entries_term =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-memo-entries" ] ~docv:"N"
-          ~doc:"abort any DP pass (estimate or compile) whose MEMO grows \
-                past N entries and serve the query with the spanning-tree \
-                regime instead")
-  in
-  let max_kept_plans_term =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-kept-plans" ] ~docv:"N"
-          ~doc:"abort any DP pass holding more than N pruned-surviving \
-                plans and fall back to the spanning-tree regime")
-  in
   let greedy_restarts_term =
     Arg.(
       value & opt int 0
@@ -575,9 +603,10 @@ let serve_cmd =
           }
         in
         let listen = addr_of ~socket ~tcp in
+        let model, model_fit_s = model_of env model in
         let cfg =
           {
-            (Srv.Server.default_config ~listen ~model:(model_of env model)
+            (Srv.Server.default_config ~listen ~model
                ~schemas:
                  [
                    ("warehouse", schema_for env "warehouse");
@@ -587,6 +616,7 @@ let serve_cmd =
                ())
             with
             env;
+            model_fit_s;
             workers;
             mode;
             admission;
@@ -683,13 +713,21 @@ let fleet_cmd =
   let model_term =
     Arg.(
       value & opt string "default"
-      & info [ "model" ] ~doc:"time model: default or calibrated")
+      & info [ "model" ]
+          ~doc:(model_doc
+               ^ ".  The router fits once and starts every backend with \
+                  its coefficients in the exact text form, so backends \
+                  never calibrate"))
   in
   let run env socket tcp backends latency_tier threshold_ms affinity workers
-      plan_cache model =
+      plan_cache model max_memo_entries max_kept_plans =
     wrap (fun () ->
         if backends < 1 then failwith "--backends must be at least 1";
         let listen = addr_of ~socket ~tcp in
+        let model, model_fit_s = model_of env model in
+        let caps flag =
+          Option.fold ~none:[] ~some:(fun n -> [ flag; string_of_int n ])
+        in
         (* Backend addresses derive from the router's: sockets get a .bN
            suffix, TCP backends take the next ports on loopback. *)
         let backend_addr i : Srv.Server.addr =
@@ -701,8 +739,10 @@ let fleet_cmd =
           let addr = backend_addr i in
           let argv =
             [ "qopt"; "serve"; "--workers"; string_of_int workers;
-              "--trust-hints"; "--model"; model ]
+              "--trust-hints"; "--model"; Cote.Time_model.to_string model ]
             @ (if plan_cache then [ "--plan-cache" ] else [])
+            @ caps "--max-memo-entries" max_memo_entries
+            @ caps "--max-kept-plans" max_kept_plans
             @ (match addr with
               | `Unix p -> [ "-s"; p ]
               | `Tcp (h, p) -> [ "--tcp"; Printf.sprintf "%s:%d" h p ])
@@ -718,7 +758,7 @@ let fleet_cmd =
           {
             (F.Router.default_config ~listen
                ~backends:(List.init backends spec)
-               ~model:(model_of env model)
+               ~model
                ~schemas:
                  [
                    ("warehouse", schema_for env "warehouse");
@@ -732,6 +772,8 @@ let fleet_cmd =
             threshold_s = threshold_ms /. 1000.0;
             affinity;
             env;
+            model_fit_s;
+            budget = O.Budget.make ?max_memo_entries ?max_kept_plans ();
           }
         in
         let pp_addr ppf = function
@@ -759,7 +801,8 @@ let fleet_cmd =
       ret
         (const run $ env_term $ socket_term $ tcp_term $ backends_term
        $ latency_tier_term $ threshold_term $ affinity_term $ workers_term
-       $ plan_cache_term $ model_term))
+       $ plan_cache_term $ model_term $ max_memo_entries_term
+       $ max_kept_plans_term))
 
 let client_cmd =
   let op_term =

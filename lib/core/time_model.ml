@@ -33,3 +33,22 @@ let pp ppf t =
   Format.fprintf ppf
     "Cm=%.3gus Cn=%.3gus Ch=%.3gus Cj=%.3gus (Cm:Cn:Ch = %.1f:%.1f:%.1f)"
     (t.c_mgjn *. 1e6) (t.c_nljn *. 1e6) (t.c_hsjn *. 1e6) (t.c_join *. 1e6) m n h
+
+let to_string t =
+  Printf.sprintf "c_nljn=%h,c_mgjn=%h,c_hsjn=%h,c_join=%h" t.c_nljn t.c_mgjn
+    t.c_hsjn t.c_join
+
+let of_string s =
+  let field name kv =
+    match String.index_opt kv '=' with
+    | Some i when String.sub kv 0 i = name ->
+      float_of_string_opt (String.sub kv (i + 1) (String.length kv - i - 1))
+    | _ -> None
+  in
+  match String.split_on_char ',' s with
+  | [ n; m; h; j ] -> (
+    match (field "c_nljn" n, field "c_mgjn" m, field "c_hsjn" h, field "c_join" j) with
+    | Some c_nljn, Some c_mgjn, Some c_hsjn, Some c_join ->
+      Some { c_nljn; c_mgjn; c_hsjn; c_join }
+    | _ -> None)
+  | _ -> None

@@ -40,3 +40,13 @@ val ratios : t -> float * float * float
     and 6:1:2 (parallel) ratios. *)
 
 val pp : Format.formatter -> t -> unit
+
+val to_string : t -> string
+(** The exact text form, ["c_nljn=H,c_mgjn=H,c_hsjn=H,c_join=H"] with
+    each coefficient printed as a hexadecimal float ([%h]), so
+    [of_string (to_string t) = Some t] bit for bit.  [qopt fleet] hands
+    its fitted model to every backend it spawns this way. *)
+
+val of_string : string -> t option
+(** Parse {!to_string}'s form: the four [name=float] fields in that
+    order, comma-separated; [None] on anything else. *)

@@ -120,6 +120,15 @@ let model_for env =
     Hashtbl.add model_cache key m;
     m
 
+(* One pass, in workload order on this domain: concurrent fits on shared
+   cores inflate every coefficient. *)
+let startup_model env =
+  Cote.Calibrate.fit_instrumented
+    (List.map
+       (fun (q : W.Workload.query) ->
+         Cote.Calibrate.measure ~repeats:1 env q.W.Workload.block)
+       (workload env "calibration").W.Workload.queries)
+
 let joins_model_for env =
   let key = "joins" ^ O.Env.suffix env in
   match Hashtbl.find_opt model_cache key with

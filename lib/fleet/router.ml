@@ -12,6 +12,8 @@ type config = {
   affinity : bool;
   env : O.Env.t;
   model : Cote.Time_model.t;
+  model_fit_s : float;
+  budget : O.Budget.t;
   schemas : (string * Qopt_catalog.Schema.t) list;
   levels : Cote.Multi_level.level list;
   latency_timeout_s : float;
@@ -30,6 +32,8 @@ let default_config ~listen ~backends ~model ~schemas () =
     affinity = true;
     env = O.Env.serial;
     model;
+    model_fit_s = 0.0;
+    budget = O.Budget.unlimited;
     schemas;
     levels = Srv.Level.default_levels;
     latency_timeout_s = 10.0;
@@ -99,11 +103,19 @@ let shutting t = Mutex.protect t.lock (fun () -> t.shutting)
 (* The fleet's "estimate once" point: one COTE pass here, refined by the
    router's own statement cache (fed by elapsed times out of compile
    replies), and the result rides to the backend as estimate_hint_s so a
-   trust-hints backend never re-estimates.  The router has no budget
-   setting, so the pass runs unbounded. *)
+   trust-hints backend never re-estimates.  The pass runs under the
+   router's budget, so a giant join graph raises [Budget.Exceeded] after
+   the cheap dry run instead of growing the MEMO without bound. *)
 let evaluate t (p : Srv.Frontdoor.prepared) =
   Srv.Frontdoor.evaluate t.cfg.env ~model:t.cfg.model ~levels:t.cfg.levels
-    ~downgrade_s:None ~budget:O.Budget.unlimited t.cache ~key:p.p_key p.p_block
+    ~downgrade_s:None ~budget:t.cfg.budget t.cache ~key:p.p_key p.p_block
+
+(* The hint for a compile.  One whose DP pass blows the budget goes out
+   with none, and the backend's own budgeted pass picks the regime. *)
+let hint t p =
+  match evaluate t p with
+  | ev -> Some ev.Srv.Frontdoor.ev_predicted_s
+  | exception O.Budget.Exceeded _ -> None
 
 let prepare t ~id ~sql ~schema =
   Srv.Frontdoor.prepare ~who:"router" t.cfg.schemas ~id ~sql ~schema
@@ -114,8 +126,10 @@ let prepare t ~id ~sql ~schema =
 
 type tier = Latency | Throughput
 
-let tier_of t predicted_s =
-  if predicted_s <= t.cfg.threshold_s then Latency else Throughput
+(* A compile with no hint blew the DP budget: a giant query. *)
+let tier_of t = function
+  | Some predicted_s when predicted_s <= t.cfg.threshold_s -> Latency
+  | Some _ | None -> Throughput
 
 let tier_size t =
   min (max 1 t.cfg.latency_tier) (Array.length t.backends)
@@ -165,9 +179,11 @@ let available t b =
 (* ------------------------------------------------------------------ *)
 
 let dispatch t ~orig_id ~sql ~deadline_ms (p : Srv.Frontdoor.prepared)
-    (ev : Srv.Frontdoor.evaluation) =
-  let predicted_s = ev.ev_predicted_s in
+    predicted_s =
   let tier = tier_of t predicted_s in
+  let estimate_us =
+    Option.fold ~none:0.0 ~some:(fun s -> s *. 1e6) predicted_s
+  in
   let timeout_s =
     match tier with
     | Latency ->
@@ -195,7 +211,7 @@ let dispatch t ~orig_id ~sql ~deadline_ms (p : Srv.Frontdoor.prepared)
         sql;
         schema = Some p.p_schema;
         deadline_ms;
-        estimate_hint_s = Some predicted_s;
+        estimate_hint_s = predicted_s;
       }
   in
   let finalize b reply =
@@ -204,8 +220,12 @@ let dispatch t ~orig_id ~sql ~deadline_ms (p : Srv.Frontdoor.prepared)
       Obs.Counter.incr m_compiles;
       (* Feed the router's statement cache from the measured elapsed so
          the next estimate for this shape is an observed actual.  Plan
-         hits report 0 elapsed — recording those would poison estimates. *)
-      if (not body.Srv.Proto.c_plan_cached) && body.Srv.Proto.c_elapsed_s > 0.0
+         hits report 0 elapsed — recording those would poison estimates —
+         and a hint-less compile's actual would never be looked up. *)
+      if
+        predicted_s <> None
+        && (not body.Srv.Proto.c_plan_cached)
+        && body.Srv.Proto.c_elapsed_s > 0.0
       then
         Cote.Stmt_cache.record t.cache ~tag:body.Srv.Proto.c_level ~key:p.p_key
           p.p_block body.Srv.Proto.c_elapsed_s;
@@ -249,7 +269,7 @@ let dispatch t ~orig_id ~sql ~deadline_ms (p : Srv.Frontdoor.prepared)
         {
           id = orig_id;
           reason = "shutdown";
-          estimate_us = predicted_s *. 1e6;
+          estimate_us;
           queue_s = 0.0;
         }
     end
@@ -264,7 +284,7 @@ let dispatch t ~orig_id ~sql ~deadline_ms (p : Srv.Frontdoor.prepared)
             {
               id = orig_id;
               reason = "fleet_unavailable";
-              estimate_us = predicted_s *. 1e6;
+              estimate_us;
               retry_after_us = None;
             })
       | b :: rest ->
@@ -305,12 +325,13 @@ let stats_json t =
       ]
   in
   J.Obj
-    [
+    ([
       ("fleet", J.Bool true);
       ("backends", J.Arr (Array.to_list (Array.map backend_doc t.backends)));
       ("latency_tier", J.int (tier_size t));
       ("metrics", Obs.Registry.json_value Obs.Registry.default);
     ]
+    @ Srv.Frontdoor.model_fields ~model:t.cfg.model ~fit_s:t.cfg.model_fit_s)
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
@@ -332,7 +353,7 @@ let handle t conn req =
     Srv.Frontdoor.spawn conn ~id (fun () ->
         let t0 = Timer.monotonic_now () in
         let p = prepare t ~id ~sql ~schema in
-        let reply = dispatch t ~orig_id:id ~sql ~deadline_ms p (evaluate t p) in
+        let reply = dispatch t ~orig_id:id ~sql ~deadline_ms p (hint t p) in
         Obs.Histo.observe m_latency (Timer.monotonic_now () -. t0);
         Srv.Frontdoor.send conn reply)
   | Srv.Proto.Estimate { id; sql; schema } ->

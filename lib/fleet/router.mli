@@ -9,14 +9,16 @@
     Routing pipeline per compile request:
 
     + {b Estimate once}: parse + bind at the router, run one COTE pass
-      over the configured level chain, refine with the router's shared
-      statement cache under the template key (fed back from measured
-      [c_elapsed_s] in compile replies).  The refined estimate rides
-      along as [estimate_hint_s], so backends started with
-      [--trust-hints] skip their own pass.
+      under [budget] over the configured level chain, refine with the
+      router's shared statement cache under the template key (fed back
+      from measured [c_elapsed_s] in compile replies).  The refined
+      estimate rides along as [estimate_hint_s], so backends started
+      with [--trust-hints] skip their own pass.  A compile whose pass
+      blows the budget goes out with no hint.
     + {b Tier}: predicted seconds at or under [threshold_s] go to the
-      latency tier (backends [0, latency_tier)), the rest to the
-      throughput tier (the remaining backends, with a higher timeout).
+      latency tier (backends [0, latency_tier)), the rest and hint-less
+      compiles to the throughput tier (the remaining backends, with a
+      higher timeout).
     + {b Affinity}: within the tier, candidates are ordered by
       rendezvous hash over the schema-qualified template key, so repeat
       templates land on the same backend (warm statement + plan
@@ -31,7 +33,8 @@
 
     The router also answers [estimate] (locally, no backend hop),
     [stats] (per-backend health + live backend stats + the router's
-    [fleet.*] metrics), and [shutdown] (drains backends first).
+    [fleet.*] metrics and serving model), and [shutdown] (drains
+    backends first).
 
     The socket side and the [error] replies for bad input are
     {!Qopt_server.Frontdoor}'s, shared with [qopt serve].  Each compile
@@ -49,6 +52,14 @@ type config = {
   affinity : bool;  (** rendezvous template affinity vs least-inflight *)
   env : O.Env.t;
   model : Cote.Time_model.t;
+  model_fit_s : float;
+      (** wall seconds the caller spent fitting [model], reported by
+          [stats] *)
+  budget : O.Budget.t;
+      (** caps on the router's COTE pass.  A budget error answers an
+          [estimate] with the server's [error] reply; a [compile] goes
+          to the throughput tier with no hint, so the backend (run with
+          the same caps) picks the regime. *)
   schemas : (string * Qopt_catalog.Schema.t) list;
   levels : Cote.Multi_level.level list;
   latency_timeout_s : float;
@@ -66,8 +77,9 @@ val default_config :
   unit ->
   config
 (** [latency_tier = n-1] (one throughput backend), [threshold_s =
-    0.5ms], affinity on, serial env, default level chain, 10s/60s tier
-    timeouts, 50ms backoff cap, 250ms probe cool-down, respawn on. *)
+    0.5ms], affinity on, serial env, no fit time, unlimited budget,
+    default level chain, 10s/60s tier timeouts, 50ms backoff cap, 250ms
+    probe cool-down, respawn on. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Spawn/connect every backend (fails if any never comes up), listen,

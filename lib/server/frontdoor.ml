@@ -289,3 +289,16 @@ let estimate_reply id ev =
         e_entries = e.Cote.Estimator.entries;
         e_estimation_s = e.Cote.Estimator.elapsed;
       } )
+
+let model_fields ~(model : Cote.Time_model.t) ~fit_s =
+  [
+    ( "model",
+      J.Obj
+        [
+          ("c_nljn", J.Num model.c_nljn);
+          ("c_mgjn", J.Num model.c_mgjn);
+          ("c_hsjn", J.Num model.c_hsjn);
+          ("c_join", J.Num model.c_join);
+        ] );
+    ("model_fit_s", J.Num fit_s);
+  ]

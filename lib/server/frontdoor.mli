@@ -108,3 +108,11 @@ val evaluate :
 
 val estimate_reply : int -> evaluation -> Proto.reply
 (** The [estimate] reply for request [id]. *)
+
+val model_fields :
+  model:Cote.Time_model.t -> fit_s:float -> (string * Qopt_util.Json.t) list
+(** The [stats] fields both front doors add: ["model"], the serving
+    coefficients in seconds per plan ([c_nljn], [c_mgjn], [c_hsjn],
+    [c_join]; printed with 17 significant digits, so they parse back bit
+    for bit), and ["model_fit_s"], the wall seconds the startup fit took
+    (0 when the model was given, not fitted). *)

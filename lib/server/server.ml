@@ -9,6 +9,7 @@ type config = {
   listen : addr;
   env : O.Env.t;
   model : Cote.Time_model.t;
+  model_fit_s : float;  (* wall seconds the startup fit of [model] took *)
   workers : int;
   mode : Sched.mode;
   admission : Admission.policy;
@@ -38,6 +39,7 @@ let default_config ~listen ~model ~schemas () =
     listen;
     env = O.Env.serial;
     model;
+    model_fit_s = 0.0;
     workers = 1;
     mode = Sched.Sjf;
     admission = Admission.unlimited;
@@ -183,10 +185,17 @@ let snapshot t =
     st_in_flight_s = in_flight_s;
   }
 
+(* The model serving predictions right now: the recalibrator's atomically
+   swapped coefficients when enabled, the configured model otherwise. *)
+let current_model t =
+  match t.recal with
+  | None -> t.cfg.model
+  | Some r -> Cote.Recalibrate.model r
+
 let stats_json t =
   let s = snapshot t in
   J.Obj
-    [
+    ([
       ("requests", J.int s.st_requests);
       ("admitted", J.int s.st_admitted);
       ("rejected", J.int s.st_rejected);
@@ -205,17 +214,11 @@ let stats_json t =
       ("mode", J.Str (Sched.mode_string (Sched.mode t.sched)));
       ("metrics", Obs.Registry.json_value Obs.Registry.default);
     ]
+    @ Frontdoor.model_fields ~model:(current_model t) ~fit_s:t.cfg.model_fit_s)
 
 (* ------------------------------------------------------------------ *)
 (* Request evaluation (connection threads)                             *)
 (* ------------------------------------------------------------------ *)
-
-(* The model serving predictions right now: the recalibrator's atomically
-   swapped coefficients when enabled, the configured model otherwise. *)
-let current_model t =
-  match t.recal with
-  | None -> t.cfg.model
-  | Some r -> Cote.Recalibrate.model r
 
 (* The shared COTE pass under this server's levels, downgrade threshold
    and budget, with its downgrades counted. *)

@@ -36,6 +36,9 @@ type config = {
   listen : addr;
   env : O.Env.t;
   model : Cote.Time_model.t;  (** fitted time model for [env] *)
+  model_fit_s : float;
+      (** wall seconds the caller spent fitting [model] before starting
+          the server, reported by [stats]; default 0 (no fit) *)
   workers : int;  (** worker domains (clamped to obs shard slots - 1) *)
   mode : Sched.mode;
   admission : Admission.policy;

@@ -140,6 +140,35 @@ let time_model_tests =
         let jm = Cote.Time_model.joins_only 1e-3 in
         Alcotest.(check (float 1e-12)) "joins only" 5e-3
           (Cote.Time_model.predict_counts jm ~nljn:100.0 ~mgjn:100.0 ~hsjn:100.0 ~joins:5.0));
+    (* Every non-NaN bit pattern: subnormals, -0, infinities included. *)
+    (let coeff =
+       QCheck2.Gen.(
+         map Int64.float_of_bits int64 >>= fun f ->
+         if Float.is_nan f then return 0.0 else return f)
+     in
+     QCheck_alcotest.to_alcotest
+       (QCheck2.Test.make ~name:"text form round-trips bit for bit" ~count:500
+          QCheck2.Gen.(quad coeff coeff coeff coeff)
+          (fun (c_nljn, c_mgjn, c_hsjn, c_join) ->
+            let m = Cote.Time_model.make ~c_nljn ~c_mgjn ~c_hsjn ~c_join () in
+            match Cote.Time_model.of_string (Cote.Time_model.to_string m) with
+            | None -> false
+            | Some r ->
+              let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+              same r.Cote.Time_model.c_nljn c_nljn
+              && same r.Cote.Time_model.c_mgjn c_mgjn
+              && same r.Cote.Time_model.c_hsjn c_hsjn
+              && same r.Cote.Time_model.c_join c_join)));
+    t "text form rejects anything else" (fun () ->
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) s true (Cote.Time_model.of_string s = None))
+          [
+            ""; "default"; "calibrated"; "c_nljn=1,c_mgjn=2,c_hsjn=3";
+            "c_mgjn=1,c_nljn=2,c_hsjn=3,c_join=4";
+            "c_nljn=1,c_mgjn=2,c_hsjn=3,c_join=x";
+            "c_nljn=1,c_mgjn=2,c_hsjn=3,c_join=4,";
+          ]);
   ]
 
 let obs ~n ~m ~h ~j ~s =

@@ -619,4 +619,160 @@ let failover_tests =
                 wait_respawn ())))
   ]
 
-let suite = rendezvous_tests @ router_tests @ front_end_tests @ failover_tests
+(* ------------------------------------------------------------------ *)
+(* Budgeted router                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let budget_tests =
+  [
+    t "a 30-table star through a router capped at 600 entries" (fun () ->
+        (* The router's COTE pass runs under the cap: the estimate gets
+           the server's budget error, and the compile goes out with no
+           hint, so the trust-hints backend runs its own budgeted pass
+           and picks the greedy regime.  A hint would have admitted it as
+           DP and rescued it mid-compile (dp_budget_fallback). *)
+        let giant = W.Giant.schema () in
+        let budget = O.Budget.make ~max_memo_entries:600 () in
+        with_fleet ~n:1
+          ~backend_cfg:(fun c ->
+            {
+              c with
+              Srv.Server.schemas = c.Srv.Server.schemas @ [ ("giant", giant) ];
+              budget;
+              trust_hints = true;
+            })
+          ~configure:(fun c ->
+            {
+              c with
+              F.Router.schemas = c.F.Router.schemas @ [ ("giant", giant) ];
+              budget;
+            })
+          (fun addr ->
+            let c = Srv.Client.connect addr in
+            Fun.protect
+              ~finally:(fun () -> Srv.Client.close c)
+              (fun () ->
+                let sql = T_server.giant_star_sql 30 in
+                let id = Srv.Client.fresh_id c in
+                (match
+                   request_exn c
+                     (Srv.Proto.Estimate { id; sql; schema = Some "giant" })
+                 with
+                | Srv.Proto.R_error { id = rid; message } ->
+                  Alcotest.(check int) "id echoed" id rid;
+                  Alcotest.(check string) "estimate error"
+                    "budget exceeded: memo_entries 601 > 600" message
+                | r ->
+                  Alcotest.failf "expected an error reply, got %s"
+                    (J.to_string (Srv.Proto.reply_to_json r)));
+                let throughput0 = counter "fleet.routed_throughput_tier" in
+                let b = T_server.compile_regime c sql in
+                Alcotest.(check string) "regime" "greedy" b.Srv.Proto.c_regime;
+                Alcotest.(check bool) "a plan came back" true
+                  (b.Srv.Proto.c_plan <> None);
+                Alcotest.(check int) "throughput tier" 1
+                  (counter "fleet.routed_throughput_tier" - throughput0))));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Startup fit of spawned processes                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [f] against a spawned qopt process listening on [path]; Backend
+   polls the socket until the process accepts, and its shutdown waits
+   for the exit. *)
+let with_spawned argv path f =
+  let b =
+    F.Backend.create 0
+      {
+        F.Backend.sp_addr = `Unix path;
+        sp_launch = F.Backend.Spawn { exe = qopt_exe; argv };
+      }
+  in
+  if not (F.Backend.start b) then Alcotest.fail "spawned qopt never listened";
+  Fun.protect
+    ~finally:(fun () ->
+      F.Backend.shutdown b;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f (`Unix path))
+
+let ( >>= ) = Option.bind
+
+let doc_counter doc name =
+  J.member "metrics" doc >>= J.member "counters" >>= J.member name
+  >>= J.get_int
+
+let doc_num doc name = J.member name doc >>= J.get_float
+
+let model_text doc =
+  match J.member "model" doc with
+  | Some (J.Obj _ as m) -> J.to_string m
+  | _ -> Alcotest.fail "stats doc has no model"
+
+let estimate_s c sql =
+  let id = Srv.Client.fresh_id c in
+  match request_exn c (Srv.Proto.Estimate { id; sql; schema = None }) with
+  | Srv.Proto.R_estimate (_, e) -> e.Srv.Proto.e_predicted_s
+  | r ->
+    Alcotest.failf "expected estimate reply, got %s"
+      (J.to_string (Srv.Proto.reply_to_json r))
+
+let startup_tests =
+  [
+    t "serve --model calibrated compiles each calibration query once" (fun () ->
+        (* The startup fit measures only what the fitter reads: one
+           compile per calibration query, no COTE estimate. *)
+        let corpus = W.Workload.size (W.Synthetic.calibration ~partitioned:false) in
+        Alcotest.(check int) "serial calibration corpus" 18 corpus;
+        let path = next_sock "calserve" in
+        with_spawned
+          [| "qopt"; "serve"; "-s"; path; "--model"; "calibrated" |]
+          path
+          (fun addr ->
+            let c = Srv.Client.connect addr in
+            Fun.protect
+              ~finally:(fun () -> Srv.Client.close c)
+              (fun () ->
+                let doc = stats_doc c in
+                Alcotest.(check (option int)) "optimizer.queries" (Some corpus)
+                  (doc_counter doc "optimizer.queries");
+                Alcotest.(check (option int)) "estimator.runs" (Some 0)
+                  (doc_counter doc "estimator.runs");
+                Alcotest.(check bool) "fit seconds reported" true
+                  (Option.value ~default:0.0 (doc_num doc "model_fit_s") > 0.0);
+                ignore (model_text doc))));
+    t "fleet backends serve the router's fit bit for bit, never calibrating"
+      (fun () ->
+        let path = next_sock "calfleet" in
+        with_spawned
+          [|
+            "qopt"; "fleet"; "-s"; path; "--backends"; "1"; "--model";
+            "calibrated";
+          |]
+          path
+          (fun addr ->
+            let r = Srv.Client.connect addr in
+            let b = Srv.Client.connect (`Unix (path ^ ".b0")) in
+            Fun.protect
+              ~finally:(fun () ->
+                Srv.Client.close r;
+                Srv.Client.close b)
+              (fun () ->
+                let rdoc = stats_doc r and bdoc = stats_doc b in
+                Alcotest.(check string) "same coefficients" (model_text rdoc)
+                  (model_text bdoc);
+                Alcotest.(check bool) "router fitted" true
+                  (Option.value ~default:0.0 (doc_num rdoc "model_fit_s") > 0.0);
+                Alcotest.(check (option (float 0.0))) "backend did not fit"
+                  (Some 0.0) (doc_num bdoc "model_fit_s");
+                Alcotest.(check (option int)) "backend compiled nothing"
+                  (Some 0) (doc_counter bdoc "optimizer.queries");
+                (* A template neither side has seen: both answer from the
+                   model alone. *)
+                Alcotest.(check (float 0.0)) "predicted_s"
+                  (estimate_s r big_sql) (estimate_s b big_sql))));
+  ]
+
+let suite =
+  rendezvous_tests @ router_tests @ front_end_tests @ failover_tests
+  @ budget_tests @ startup_tests

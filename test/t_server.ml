@@ -440,6 +440,12 @@ let stat doc name = Option.bind (J.member name doc) J.get_int |> Option.get
 
 let statf doc name = Option.bind (J.member name doc) J.get_float |> Option.get
 
+(* The serving Cm out of a stats doc's "model" object. *)
+let served_c_mgjn doc =
+  match Option.bind (J.member "model" doc) (J.member "c_mgjn") with
+  | Some v -> Option.get (J.get_float v)
+  | None -> Alcotest.fail "stats doc has no model"
+
 (* The big compile is on the worker (not queued) and nothing else is. *)
 let big_is_running doc = stat doc "queue_depth" = 0 && statf doc "in_flight_s" > 0.0
 
@@ -1198,7 +1204,9 @@ let recalibrate_tests =
                  with
                 | Srv.Proto.R_stats (_, doc) ->
                   Alcotest.(check bool) "drift-triggered refit happened" true
-                    (stat doc "refits" >= 1)
+                    (stat doc "refits" >= 1);
+                  Alcotest.(check bool) "stats shows the refitted model" true
+                    (served_c_mgjn doc <> skewed.Cote.Time_model.c_mgjn)
                 | _ -> Alcotest.fail "expected stats reply");
                 if not (err_after < err_before /. 2.0) then
                   Alcotest.failf
@@ -1225,7 +1233,11 @@ let recalibrate_tests =
                   request_exn c (Srv.Proto.Stats { id = Srv.Client.fresh_id c })
                 with
                 | Srv.Proto.R_stats (_, doc) ->
-                  Alcotest.(check int) "no refits ever" 0 (stat doc "refits")
+                  Alcotest.(check int) "no refits ever" 0 (stat doc "refits");
+                  Alcotest.(check (float 0.0)) "stats shows the configured model"
+                    model.Cote.Time_model.c_mgjn (served_c_mgjn doc);
+                  Alcotest.(check (float 0.0)) "nothing was fitted" 0.0
+                    (statf doc "model_fit_s")
                 | _ -> Alcotest.fail "expected stats reply")));
   ]
 
