@@ -260,6 +260,57 @@ let batch_corpus () =
         (E.Common.workload serial wl).W.Workload.queries)
     [ "linear"; "star"; "cycle" ]
 
+(* Level-parallel plan generation: the batch corpus compiled one query at
+   a time, serially and with a pool of helper domains (one per CPU beyond
+   the caller's, at least one).
+
+     hotpath/parallel-identical       — 1.0 when both passes give equal
+                                        Batch fingerprints, else 0.0
+     hotpath/compile-helpers-speedup  — serial seconds / helper seconds
+
+   The speed-up tracks the idle cores: on a single-core host the helper
+   time-slices the caller's CPU and the ratio sits near (or below) 1.0,
+   while the identity row must hold everywhere. *)
+let parallel_gen_rows () =
+  let blocks =
+    List.filter_map
+      (function Qopt_par.Batch.Compile b -> Some b | Qopt_par.Batch.Estimate _ -> None)
+      (batch_corpus ())
+  in
+  let helpers = max 1 (min (Domain.recommended_domain_count () - 1) 3) in
+  let pool = Qopt_par.Pool.create ~helpers ~first_slot:1 () in
+  let pass ?runner () =
+    Qopt_util.Timer.time (fun () ->
+        List.map
+          (fun b -> Qopt_par.Batch.Compiled (O.Optimizer.optimize serial ?runner b))
+          blocks)
+  in
+  let serial_out, ts = pass () in
+  let par_out, tp =
+    Fun.protect
+      ~finally:(fun () -> Qopt_par.Pool.close pool)
+      (fun () -> pass ~runner:(Qopt_par.Pool.run pool) ())
+  in
+  let identical =
+    if
+      String.equal
+        (Qopt_par.Batch.fingerprint serial_out)
+        (Qopt_par.Batch.fingerprint par_out)
+    then 1.0
+    else 0.0
+  in
+  let rows =
+    [
+      ("hotpath/parallel-identical", identical);
+      ("hotpath/compile-helpers-speedup", ts /. tp);
+    ]
+  in
+  Format.printf "=== Level-parallel plan generation (%d compiles, %d helper%s) ===@."
+    (List.length blocks) helpers
+    (if helpers = 1 then "" else "s");
+  List.iter (fun (name, v) -> Format.printf "%-36s %16.2f@." name v) rows;
+  rows
+
 let batch_rows () =
   let corpus = batch_corpus () in
   let n = List.length corpus in
@@ -936,6 +987,8 @@ let () =
   let rows = report raw in
   Format.printf "@.";
   let rows = rows @ hotpath_alloc_rows () in
+  Format.printf "@.";
+  let rows = rows @ parallel_gen_rows () in
   Format.printf "@.";
   let rows = rows @ batch_rows () in
   Format.printf "@.";

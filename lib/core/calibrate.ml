@@ -13,9 +13,10 @@ type observation = {
   obs_t_hsjn : float;
 }
 
-let measure ?knobs ?(repeats = 3) env block =
+let measure ?knobs ?(repeats = 3) ?runner env block =
   let result, seconds =
-    Timer.time_median ~repeats (fun () -> O.Optimizer.optimize env ?knobs block)
+    Timer.time_median ~repeats (fun () ->
+        O.Optimizer.optimize env ?knobs ?runner block)
   in
   {
     obs_nljn = float_of_int result.O.Optimizer.generated.O.Memo.nljn;

@@ -22,11 +22,15 @@ type observation = {
 val measure :
   ?knobs:O.Knobs.t ->
   ?repeats:int ->
+  ?runner:(int -> (int -> unit) -> unit) ->
   O.Env.t ->
   O.Query_block.t ->
   observation
 (** Compile the query for real ([repeats] times, default 3, median timing)
-    and package the observation. *)
+    and package the observation.  [runner] is {!O.Optimizer.optimize}'s:
+    with it the timing is the parallel compile's wall clock and the
+    per-method times are busy time summed over domains, so
+    {!fit_instrumented} scales them to wall-clock seconds. *)
 
 val fit : ?with_join_term:bool -> observation list -> Time_model.t
 (** Non-negative least squares on the observations.  With

@@ -121,12 +121,13 @@ let model_for env =
     m
 
 (* One pass, in workload order on this domain: concurrent fits on shared
-   cores inflate every coefficient. *)
-let startup_model env =
+   cores inflate every coefficient.  A server's plan-generation runner
+   goes wide inside each compile, as it will when serving. *)
+let startup_model ?runner env =
   Cote.Calibrate.fit_instrumented
     (List.map
        (fun (q : W.Workload.query) ->
-         Cote.Calibrate.measure ~repeats:1 env q.W.Workload.block)
+         Cote.Calibrate.measure ~repeats:1 ?runner env q.W.Workload.block)
        (workload env "calibration").W.Workload.queries)
 
 let joins_model_for env =

@@ -35,14 +35,17 @@ val model_for : O.Env.t -> Cote.Time_model.t
 (** The plan-level time model fitted on the calibration workload for this
     environment (memoized). *)
 
-val startup_model : O.Env.t -> Cote.Time_model.t
+val startup_model :
+  ?runner:(int -> (int -> unit) -> unit) -> O.Env.t -> Cote.Time_model.t
 (** The model a server fits when it starts ([qopt serve/fleet --model
     calibrated], [qopt calibrate]): {!Cote.Calibrate.fit_instrumented},
     the same fitter as {!model_for}, over one serial compile of each
     calibration query ({!Cote.Calibrate.measure} [~repeats:1]).  It runs
     no COTE estimate and no repeats, because the fitter reads neither; on
     a 2-vCPU host that is about a third of [model_for]'s first-call cost.
-    Not memoized: each call measures afresh. *)
+    Not memoized: each call measures afresh.  A server passes the
+    plan-generation [runner] it compiles with ({!O.Optimizer.optimize}),
+    so the model predicts the wall-clock seconds it will report. *)
 
 val joins_model_for : O.Env.t -> Cote.Time_model.t
 (** The joins-only baseline model fitted on the same training data. *)

@@ -77,11 +77,15 @@ let close_chan ch =
       Condition.broadcast ch.ch_cond);
   try Unix.close ch.ch_fd with Unix.Unix_error _ -> ()
 
-let reader ch () =
+(* [on_lost ch] runs once the reader has closed [ch] on a hang-up or a
+   bad frame: the backend owning it may be dead even if no request is
+   waiting to notice. *)
+let reader ~on_lost ch () =
   let fail () =
     Mutex.protect ch.ch_lock (fun () ->
         ch.ch_closed <- true;
-        Condition.broadcast ch.ch_cond)
+        Condition.broadcast ch.ch_cond);
+    on_lost ch
   in
   let rec loop () =
     match Srv.Wire.read ch.ch_ic with
@@ -103,7 +107,7 @@ let reader ch () =
   in
   loop ()
 
-let open_chan ~attempts addr =
+let open_chan ~attempts ~on_lost addr =
   let rec go n delay =
     match Srv.Frontdoor.dial addr with
     | fd ->
@@ -120,7 +124,7 @@ let open_chan ~attempts addr =
           ch_closed = false;
         }
       in
-      ignore (Thread.create (reader ch) ());
+      ignore (Thread.create (reader ~on_lost ch) ());
       Some ch
     | exception Unix.Unix_error _ when n + 1 < attempts ->
       Thread.delay delay;
@@ -157,16 +161,24 @@ let reap_locked t =
     | _ -> t.pid <- None
     | exception Unix.Unix_error _ -> t.pid <- None)
 
-let mark_down t =
-  let ch =
-    Mutex.protect t.lock (fun () ->
-        let ch = t.chan in
-        t.chan <- None;
-        if t.down_since = None then t.down_since <- Some (Timer.monotonic_now ());
-        reap_locked t;
-        ch)
-  in
-  Option.iter close_chan ch
+let mark_down_locked t =
+  let ch = t.chan in
+  t.chan <- None;
+  if t.down_since = None then t.down_since <- Some (Timer.monotonic_now ());
+  reap_locked t;
+  ch
+
+let mark_down t = Option.iter close_chan (Mutex.protect t.lock (fun () -> mark_down_locked t))
+
+(* The reader of [ch] lost its backend.  Only the channel in rotation
+   takes the backend down: a failed probe's channel, or one replaced by a
+   respawn, closes without touching the live one. *)
+let lost t ch =
+  Option.iter close_chan
+    (Mutex.protect t.lock (fun () ->
+         match t.chan with
+         | Some c when c == ch -> mark_down_locked t
+         | Some _ | None -> None))
 
 let install t ch =
   Mutex.protect t.lock (fun () ->
@@ -179,7 +191,7 @@ let start ?(attempts = 100) t =
   | Spawn { exe; argv } ->
     let pid = spawn_process exe argv in
     Mutex.protect t.lock (fun () -> t.pid <- Some pid));
-  match open_chan ~attempts t.spec.sp_addr with
+  match open_chan ~attempts ~on_lost:(lost t) t.spec.sp_addr with
   | Some ch ->
     install t ch;
     true
@@ -296,7 +308,7 @@ let try_probe t ~probe_after_s ~respawn =
       if dead && respawn then
         let pid = spawn_process exe argv in
         Mutex.protect t.lock (fun () -> t.pid <- Some pid));
-    match open_chan ~attempts:8 t.spec.sp_addr with
+    match open_chan ~attempts:8 ~on_lost:(lost t) t.spec.sp_addr with
     | None -> finish false
     | Some ch -> (
       match

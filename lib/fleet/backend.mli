@@ -10,7 +10,9 @@
 
     Health: a backend is either in rotation (connected) or down.  A
     channel failure never blocks dispatch — {!rpc} reports [Unreachable]
-    and the router routes around the backend.  Readmission goes through
+    and the router routes around the backend.  When the reader sees the
+    backend hang up (a killed process closes its socket), the backend
+    leaves rotation at once, with or without traffic to notice.  Readmission goes through
     {!try_probe}: at most one prober at a time, only after a cool-down,
     and the backend must answer a stats round trip before re-entering
     rotation; a dead spawned process is reaped and (optionally)

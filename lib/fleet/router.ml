@@ -311,7 +311,11 @@ let stats_json t =
           Backend.rpc b ~timeout_s:2.0 (fun id -> Srv.Proto.Stats { id })
         with
         | Backend.Reply (Srv.Proto.R_stats (_, doc)) -> doc
-        | Backend.Reply _ | Backend.Timeout | Backend.Unreachable -> J.Null
+        | Backend.Unreachable ->
+          (* Dead: out of rotation, so the prober reaps and respawns it. *)
+          Backend.mark_down b;
+          J.Null
+        | Backend.Reply _ | Backend.Timeout -> J.Null
       else J.Null
     in
     J.Obj

@@ -1,6 +1,7 @@
 (** Monotonic integer counter, sharded per domain slot ({!Shard}):
     increments touch only the calling domain's cell, [value] sums the
-    cells.  Concurrent workers on distinct slots never lose updates. *)
+    cells.  Concurrent workers on distinct slots never lose updates, and
+    the cells sit a cache line apart, so they never share one either. *)
 
 type t
 

@@ -12,12 +12,23 @@ let key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 
 let slot () = Domain.DLS.get key
 
+(* One past the highest slot ever claimed: merged readings need not visit
+   the cells above it, which no domain has written. *)
+let used = Atomic.make 1
+
+let rec raise_used i =
+  let u = Atomic.get used in
+  if i + 1 > u && not (Atomic.compare_and_set used u (i + 1)) then raise_used i
+
 let set_slot i =
   if i < 0 || i >= max_slots then
     invalid_arg
       (Printf.sprintf "Qopt_obs.Shard.set_slot: slot %d outside [0, %d)" i
          max_slots);
+  raise_used i;
   Domain.DLS.set key i
+
+let in_use () = Atomic.get used
 
 (* A process-wide write sequence used to merge last-write-wins metrics
    (gauges): the shard with the highest sequence holds the newest value. *)

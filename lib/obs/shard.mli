@@ -22,5 +22,9 @@ val set_slot : int -> unit
 (** Claim a slot for the calling domain.  Raises [Invalid_argument] outside
     [0, max_slots). *)
 
+val in_use : unit -> int
+(** One past the highest slot any domain has claimed (at least 1): the
+    cells at and above it have never been written. *)
+
 val next_seq : unit -> int
 (** Next value of the process-wide write sequence (gauge merging). *)

@@ -57,7 +57,15 @@ let union_valid block union =
       Bitset.subset (Query_block.quantifier block q).Quantifier.deps union)
     union
 
-let run ~knobs ~card_of memo consumer =
+let run ?flush ~knobs ~card_of memo consumer =
+  (* With [flush], a level's events are buffered (newest first) and handed
+     over once its enumeration pass is complete. *)
+  let pending = ref [] in
+  let emit =
+    match flush with
+    | None -> consumer.on_join
+    | Some _ -> fun ev -> pending := ev :: !pending
+  in
   let block = Memo.block memo in
   let stats = Memo.stats memo in
   let n = Query_block.n_quantifiers block in
@@ -144,7 +152,7 @@ let run ~knobs ~card_of memo consumer =
                       end;
                       stats.Memo.joins_enumerated <-
                         stats.Memo.joins_enumerated + 1;
-                      consumer.on_join
+                      emit
                         {
                           left = s;
                           right = l;
@@ -160,5 +168,10 @@ let run ~knobs ~card_of memo consumer =
                 end;
                 if not !feasible then Obs.Counter.incr m_pruned
               end))
-    done
+    done;
+    match (flush, !pending) with
+    | Some f, (_ :: _ as evs) ->
+      pending := [];
+      f (Array.of_list (List.rev evs))
+    | Some _, [] | None, _ -> ()
   done

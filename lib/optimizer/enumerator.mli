@@ -37,6 +37,7 @@ type consumer = {
 }
 
 val run :
+  ?flush:(join_event array -> unit) ->
   knobs:Knobs.t ->
   card_of:(Memo.entry -> float) ->
   Memo.t ->
@@ -54,7 +55,15 @@ val run :
     could admit it — is skipped before any per-pair work or metrics.  The
     gate is exact, so the enumerated join set (and every consumer
     callback) is identical to the naive all-pairs loop's; see
-    [test/ref_enumerator.ml] for the oracle and the differential suite. *)
+    [test/ref_enumerator.ml] for the oracle and the differential suite.
+
+    With [flush], each size level runs in two steps: the enumeration pass
+    (entry creation with its [on_entry] calls, the adjacency gate, the
+    counters) collects the level's join events, and [flush] then receives
+    them, in the order [on_join] would have, instead of [on_join].  Every
+    event of a level reads only entries of smaller sizes, so the flush may
+    generate plans for different result entries at once
+    ({!Plan_gen.flush}). *)
 
 val direction_feasible :
   knobs:Knobs.t ->

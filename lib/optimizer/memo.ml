@@ -105,6 +105,11 @@ let bucket_push b e =
   b.items.(b.len) <- e;
   b.len <- b.len + 1
 
+(* A forked view ([fork]) shares every structure of its parent but counts
+   into its own [kept] and [sts], and is [shared]: it takes [intern_lock]
+   around the property table and [sat_lock] around the satisfying-plan
+   caches of finished entries, the two structures that tasks on other
+   domains touch at the same time.  The parent itself never locks. *)
 type t = {
   blk : Query_block.t;
   tbl : (int, entry) Hashtbl.t;
@@ -113,7 +118,19 @@ type t = {
   mutable kept : int; (* running kept-plan count across all entries *)
   mutable sel : Cardinality.ctx option; (* created by the first estimate *)
   sts : stats;
+  shared : bool;
+  intern_lock : Mutex.t;
+  sat_lock : Mutex.t;
 }
+
+let fresh_stats () =
+  {
+    entries_created = 0;
+    joins_enumerated = 0;
+    generated = counts_zero ();
+    scan_plans = 0;
+    pruned = 0;
+  }
 
 let create blk =
   let n = Query_block.n_quantifiers blk in
@@ -124,21 +141,37 @@ let create blk =
     intern = Prop_id.create ();
     kept = 0;
     sel = None;
-    sts =
-      {
-        entries_created = 0;
-        joins_enumerated = 0;
-        generated = counts_zero ();
-        scan_plans = 0;
-        pruned = 0;
-      };
+    sts = fresh_stats ();
+    shared = false;
+    intern_lock = Mutex.create ();
+    sat_lock = Mutex.create ();
   }
+
+let fork t = { t with kept = 0; sts = fresh_stats (); shared = true }
+
+(* A view creates no entries, enumerates no joins and plans no scans:
+   its join plans are all it adds. *)
+let absorb t view =
+  t.kept <- t.kept + view.kept;
+  let s = t.sts and v = view.sts in
+  counts_add s.generated Join_method.NLJN v.generated.nljn;
+  counts_add s.generated Join_method.MGJN v.generated.mgjn;
+  counts_add s.generated Join_method.HSJN v.generated.hsjn;
+  s.pruned <- s.pruned + v.pruned
 
 let block t = t.blk
 
 let stats t = t.sts
 
-let intern_cols t cols = Prop_id.id_of_cols t.intern cols
+let intern_cols t cols =
+  if t.shared then
+    Mutex.protect t.intern_lock (fun () -> Prop_id.id_of_cols t.intern cols)
+  else Prop_id.id_of_cols t.intern cols
+
+let cols_of_id t id =
+  if t.shared then
+    Mutex.protect t.intern_lock (fun () -> Prop_id.cols_of_id t.intern id)
+  else Prop_id.cols_of_id t.intern id
 
 let find_opt t set = Hashtbl.find_opt t.tbl (Bitset.to_int set)
 
@@ -330,12 +363,10 @@ let kind_tag = function
   | Order_prop.Grouping -> 1
   | Order_prop.Ordering -> 2
 
-let best_plan_satisfying t e (order : Order_prop.t) =
+let best_plan_satisfying_unlocked t e (order : Order_prop.t) =
   let equiv = equiv_of t e in
   let ccols = Order_prop.canonical equiv order in
-  let oid =
-    (3 * Prop_id.id_of_cols t.intern ccols) + kind_tag order.Order_prop.kind
-  in
+  let oid = (3 * intern_cols t ccols) + kind_tag order.Order_prop.kind in
   let slot =
     match Hashtbl.find_opt e.sat_cache oid with
     | Some slot -> slot
@@ -348,7 +379,7 @@ let best_plan_satisfying t e (order : Order_prop.t) =
         let sp = e.saved.(i) in
         if
           canon_satisfied order.Order_prop.kind ccols
-            (Prop_id.cols_of_id t.intern sp.sp_norm)
+            (cols_of_id t sp.sp_norm)
         then
           match !best with
           | Some b when b.sp_plan.Plan.cost < sp.sp_plan.Plan.cost -> ()
@@ -364,6 +395,14 @@ let best_plan_satisfying t e (order : Order_prop.t) =
   | Some sp -> Some sp.sp_plan
   | None -> None
 
+(* A shared view queries finished lower-level entries that tasks on other
+   domains query too, and the first query of an order fills the entry's
+   [sat_cache]. *)
+let best_plan_satisfying t e order =
+  if t.shared then
+    Mutex.protect t.sat_lock (fun () -> best_plan_satisfying_unlocked t e order)
+  else best_plan_satisfying_unlocked t e order
+
 (* Interned order-satisfaction bitmask of a normalized plan order, cached
    per (entry, order id): every distinct physical order pays the
    list-walking test once per entry instead of once per insertion. *)
@@ -371,7 +410,7 @@ let osig_of t e norm_id =
   match Hashtbl.find_opt e.osig_cache norm_id with
   | Some s -> s
   | None ->
-    let normalized = Prop_id.cols_of_id t.intern norm_id in
+    let normalized = cols_of_id t norm_id in
     let s = ref 0 in
     List.iteri
       (fun i (kind, cols) ->
@@ -390,7 +429,7 @@ let ptag = function
    test), so raw-equal partitions are the exact reuse class. *)
 let pkey_of t e (p : Partition_prop.t) =
   let raw =
-    (2 * Prop_id.id_of_cols t.intern p.Partition_prop.keys)
+    (2 * intern_cols t p.Partition_prop.keys)
     + ptag p.Partition_prop.kind
   in
   match Hashtbl.find_opt e.pprop_cache raw with
@@ -398,7 +437,7 @@ let pkey_of t e (p : Partition_prop.t) =
   | None ->
     let equiv = equiv_of t e in
     let pid =
-      (2 * Prop_id.id_of_cols t.intern (Partition_prop.canonical equiv p))
+      (2 * intern_cols t (Partition_prop.canonical equiv p))
       + ptag p.Partition_prop.kind
     in
     let pint = Interesting.partition_interesting t.blk equiv ~tables:e.tables p in
@@ -415,8 +454,7 @@ let signature ?norm t e (plan : Plan.t) =
     match norm with
     | Some id -> id
     | None ->
-      Prop_id.id_of_cols t.intern
-        (Equiv.normalize_cols (equiv_of t e) plan.Plan.order)
+      intern_cols t (Equiv.normalize_cols (equiv_of t e) plan.Plan.order)
   in
   let osig = osig_of t e norm_id in
   let sp_pkey, sp_pint =
@@ -477,7 +515,7 @@ let update_bests t e sp dropped =
           | Some b when List.memq b ds -> None
           | Some _ | None -> Some slot)
         e.sat_cache);
-    let norm_cols = Prop_id.cols_of_id t.intern sp.sp_norm in
+    let norm_cols = cols_of_id t sp.sp_norm in
     Hashtbl.iter
       (fun _ slot ->
         if canon_satisfied slot.ss_kind slot.ss_cols norm_cols then

@@ -114,6 +114,22 @@ val block : t -> Query_block.t
 
 val stats : t -> stats
 
+val fork : t -> t
+(** A view for one plan-generation task of a parallel level flush
+    ({!Plan_gen.flush}).  It shares the parent's entries, property table
+    and selectivity context, but counts its insertions and drops into its
+    own {!kept_plans} and {!stats}, which start at zero.  A view takes a
+    lock around the property table (ids come out in another order than a
+    serial run's, and are only ever compared for equality) and around
+    {!best_plan_satisfying}.  A task may insert only into the entries it
+    owns, and may read the entries of smaller sizes, which are finished;
+    it never creates entries. *)
+
+val absorb : t -> t -> unit
+(** [absorb parent view] adds the view's kept plans, generated join plans
+    and pruned plans into the parent's — after the level's barrier, once
+    per view. *)
+
 val intern_cols : t -> Colref.t list -> int
 (** Intern a canonical column list in the MEMO's property table — the
     generator uses this to compute each join plan's normalized-order id
@@ -177,7 +193,8 @@ val best_pipelinable_plan : t -> entry -> Plan.t option
 val best_plan_satisfying : t -> entry -> Order_prop.t -> Plan.t option
 (** Cheapest kept plan whose physical order satisfies the interesting
     order.  Memoized per interned order id and kept current on insertion:
-    amortized O(1) for the generator's repeated merge-order queries. *)
+    amortized O(1) for the generator's repeated merge-order queries.  On
+    a {!fork} view the query holds the MEMO's cache lock. *)
 
 val insert_plan : ?norm:int -> t -> entry -> Plan.t -> unit
 (** Insert with dominance pruning (does not touch the [generated]

@@ -126,7 +126,7 @@ let budgeted_consumer budget memo (consumer : Enumerator.consumer) =
         check ());
   }
 
-let run_block ?budget ?views env knobs block =
+let run_block ?budget ?views ?runner env knobs block =
   let memo = Memo.create block in
   let instr = Instrument.create () in
   let gen = Plan_gen.create ?views env memo instr in
@@ -136,11 +136,20 @@ let run_block ?budget ?views env knobs block =
     | Some b when not (Budget.is_unlimited b) -> budgeted_consumer b memo consumer
     | Some _ | None -> consumer
   in
+  (* Levels go wide only when the budget's kept-plan check — which reads
+     the running count after every join — has nothing to check; the entry
+     cap is checked in the enumeration pass either way. *)
+  let flush =
+    match (runner, budget) with
+    | Some _, Some { Budget.max_kept_plans = Some _; _ } | None, _ -> None
+    | Some run, _ -> Some (Plan_gen.flush gen ~run)
+  in
   let alloc0 = if !Obs.Control.on then Gc.allocated_bytes () else 0.0 in
   let (), elapsed =
     Timer.time (fun () ->
         Obs.Span.time m_span (fun () ->
-            Enumerator.run ~knobs ~card_of:(Plan_gen.card_of gen) memo consumer))
+            Enumerator.run ?flush ~knobs ~card_of:(Plan_gen.card_of gen) memo
+              consumer))
   in
   Instrument.set_total instr elapsed;
   if !Obs.Control.on then
@@ -185,16 +194,19 @@ let no_interrupt () = false
 
 let check_interrupt interrupt = if interrupt () then raise Interrupted
 
-let optimize_block ?(interrupt = no_interrupt) ?budget ?views env knobs block =
+let optimize_block ?(interrupt = no_interrupt) ?budget ?views ?runner env knobs
+    block =
   check_interrupt interrupt;
-  let result, reached_top = run_block ?budget ?views env knobs block in
+  let result, reached_top = run_block ?budget ?views ?runner env knobs block in
   if reached_top || Query_block.n_quantifiers block <= 1 then result
   else begin
     (* The knobs left the query unplannable (disconnected graph without
        Cartesian products, or an over-tight inner limit): retry permissively. *)
     Obs.Counter.incr m_retries;
     check_interrupt interrupt;
-    let retry, _ = run_block ?budget ?views env (Knobs.permissive knobs) block in
+    let retry, _ =
+      run_block ?budget ?views ?runner env (Knobs.permissive knobs) block
+    in
     (* The failed pass is real compile time — Estimator.estimate_block times
        both passes, and COTE accuracy depends on actuals doing the same.
        Fold the first pass's elapsed and work counters into the retry
@@ -215,12 +227,13 @@ let optimize_block ?(interrupt = no_interrupt) ?budget ?views env knobs block =
   end
 
 let optimize env ?(interrupt = no_interrupt) ?budget ?(knobs = Knobs.default)
-    ?views block =
+    ?views ?runner block =
   Obs.Counter.incr m_queries;
   let results = ref [] in
   Query_block.iter_blocks
     (fun b ->
-      results := optimize_block ~interrupt ?budget ?views env knobs b :: !results)
+      results :=
+        optimize_block ~interrupt ?budget ?views ?runner env knobs b :: !results)
     block;
   let result =
     match !results with

@@ -29,6 +29,7 @@ val optimize_block :
   ?interrupt:(unit -> bool) ->
   ?budget:Budget.t ->
   ?views:Mat_view.t list ->
+  ?runner:(int -> (int -> unit) -> unit) ->
   Env.t ->
   Knobs.t ->
   Query_block.t ->
@@ -41,7 +42,16 @@ val optimize_block :
     returns [true], {!Interrupted} is raised.  [budget] (default
     unlimited) caps the MEMO mid-pass: crossing a cap raises
     {!Budget.Exceeded} from inside the enumeration, before the MEMO can
-    grow past the limit — the giant-join-graph guardrail. *)
+    grow past the limit — the giant-join-graph guardrail.
+
+    [runner] (a {!Plan_gen.runner}, e.g. [Qopt_par.Pool.run pool])
+    generates the plans of each DP size level in parallel
+    ({!Plan_gen.flush}); without it the pass is serial.  The MEMO, every
+    plan list, the best plan and every counter of the result are
+    bit-identical to the serial pass; only [elapsed] (wall clock) and the
+    [breakdown] (busy time summed over the domains that worked) differ.
+    A pass under a [max_kept_plans] cap stays serial, since its check
+    reads the running kept-plan count after every join. *)
 
 val optimize :
   Env.t ->
@@ -49,6 +59,7 @@ val optimize :
   ?budget:Budget.t ->
   ?knobs:Knobs.t ->
   ?views:Mat_view.t list ->
+  ?runner:(int -> (int -> unit) -> unit) ->
   Query_block.t ->
   result
 (** Optimizes the block and all child blocks bottom-up; counters and times
@@ -60,7 +71,8 @@ val optimize :
     cancelled at the next pass boundary rather than hanging to completion.
     [budget] (default unlimited) additionally caps MEMO entries / kept
     plans {e inside} each pass, raising {!Budget.Exceeded} the moment a
-    cap is crossed; callers fall back to {!optimize_fallback}. *)
+    cap is crossed; callers fall back to {!optimize_fallback}.  [runner]
+    is {!optimize_block}'s. *)
 
 type fallback = {
   fb_best : Plan.t option;

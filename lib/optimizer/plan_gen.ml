@@ -539,3 +539,62 @@ let on_entry t (entry : Memo.entry) =
 
 let consumer t =
   { Enumerator.on_entry = on_entry t; Enumerator.on_join = on_join t }
+
+(* ------------------------------------------------------------------ *)
+(* Parallel level flush                                                *)
+(* ------------------------------------------------------------------ *)
+
+let m_parallel_levels =
+  Obs.Registry.counter Obs.Registry.default "optimizer.parallel_levels"
+
+type runner = int -> (int -> unit) -> unit
+
+(* A task's generator: the parent's environment, context and instrument
+   (its spans record on the running domain's shard slot), with the
+   counters it bumps — MEMO view, bound-prunable — starting at zero. *)
+let fork t = { t with memo = Memo.fork t.memo; prunable = 0 }
+
+let absorb t child =
+  Memo.absorb t.memo child.memo;
+  t.prunable <- t.prunable + child.prunable
+
+(* Below these sizes a level is generated serially: waking a helper and
+   meeting at the barrier costs more than the helper can take over.  On
+   3-6-table warehouse queries with one helper (2 vCPUs), splitting levels
+   from 2 events on slowed 3-table compiles by up to 13%; from 8 events on,
+   no size was more than 1% slower and 6-table compiles ran 1.45-1.56x
+   faster. *)
+let min_split_events = 8
+
+let min_split_entries = 2
+
+let flush t ~run (events : Enumerator.join_event array) =
+  (* Group the events by result entry: groups in order of first
+     appearance (the entries' creation order), events in serial order
+     within a group. *)
+  let ids = Hashtbl.create 64 in
+  let owner =
+    Array.map
+      (fun (ev : Enumerator.join_event) ->
+        let key = Bitset.to_int ev.Enumerator.result.Memo.tables in
+        match Hashtbl.find_opt ids key with
+        | Some g -> g
+        | None ->
+          let g = Hashtbl.length ids in
+          Hashtbl.add ids key g;
+          g)
+      events
+  in
+  let n = Hashtbl.length ids in
+  if Array.length events < min_split_events || n < min_split_entries then
+    Array.iter (on_join t) events
+  else begin
+    let groups = Array.make n [] in
+    for i = Array.length events - 1 downto 0 do
+      groups.(owner.(i)) <- events.(i) :: groups.(owner.(i))
+    done;
+    let forks = Array.init n (fun _ -> fork t) in
+    run n (fun g -> List.iter (on_join forks.(g)) groups.(g));
+    Array.iter (absorb t) forks;
+    Obs.Counter.incr m_parallel_levels
+  end

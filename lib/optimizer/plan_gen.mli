@@ -55,3 +55,20 @@ val mv_tests : t -> int
 
 val mv_matches : t -> int
 (** How many tests produced a substitute plan. *)
+
+type runner = int -> (int -> unit) -> unit
+(** A task runner: [run n f] calls [f i] for every [i] in [0..n-1], on any
+    domains, and returns once all have returned, with their writes
+    visible to the caller; when tasks raise, it re-raises the exception of
+    the lowest-indexed one.  [Qopt_par.Pool.run] is one. *)
+
+val flush : t -> run:runner -> Enumerator.join_event array -> unit
+(** The plan-generation flush of one DP size level ({!Enumerator.run}'s
+    [flush]).  Each result entry's events form one task, run in their
+    serial order by whichever domain claims the task: every plan list
+    comes out exactly as serial generation leaves it.  A task counts into
+    its own {!Memo.fork} view; the views' counters (generated and kept
+    plans, pruned, prunable) are added into the MEMO's after the
+    barrier.  A level with fewer than 8 events or a single result entry
+    is generated serially, in event order.  Each level that is split bumps
+    the [optimizer.parallel_levels] counter. *)

@@ -1,9 +1,13 @@
 module Obs = Qopt_obs
 
-(* The pool never outlives a batch: workers are spawned per call, seeded
-   with a round-robin split of the task indices, and steal from each other
-   once their own deque drains.  Tasks never enqueue new tasks, so a worker
-   can exit as soon as a full sweep over every other deque reports Empty. *)
+(* One pool implementation serves two lifetimes.  A persistent pool ([t])
+   spawns its helper domains once; they block on a condition variable
+   while idle and join each batch a caller submits.  [map_indexed] is a
+   pool that lives for one batch.  Within a batch, task indices are seeded
+   round-robin into one work-stealing deque per participant, and a
+   participant steals from the others once its own deque drains.  Tasks
+   never enqueue new tasks, so a participant leaves the batch as soon as a
+   full sweep over every other deque reports Empty. *)
 
 let max_domains = Obs.Shard.max_slots
 
@@ -13,11 +17,6 @@ let max_domains = Obs.Shard.max_slots
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let clamp_domains d = max 1 (min d max_domains)
-
-type 'a cell =
-  | Pending
-  | Ok_ of 'a
-  | Exn of exn * Printexc.raw_backtrace
 
 (* Between failed steal sweeps, back off exponentially: spin [2^level]
    pause hints while the contended window is likely shorter than a
@@ -66,11 +65,115 @@ let run_worker ~deques ~domains ~w ~run =
   in
   loop ()
 
-let map_indexed ?(domains = 1) n f =
-  let domains = clamp_domains (min domains (max 1 n)) in
-  if n = 0 then [||]
-  else if domains = 1 || Domain.DLS.get in_worker then Array.init n f
+(* One submitted batch: the seeded deques, the task runner, and how many
+   helpers are inside it (under the pool's mutex). *)
+type batch = {
+  deques : int Deque.t array;
+  run_task : int -> unit;
+  mutable joined : int;
+}
+
+type t = {
+  helpers : int;
+  m : Mutex.t;
+  wake : Condition.t;  (* helpers: a batch was posted, or the pool closed *)
+  left : Condition.t;  (* submitter: the last joined helper left *)
+  mutable posted : batch option;  (* open for helpers to join *)
+  mutable epoch : int;  (* bumped per batch: a helper joins each at most once *)
+  mutable busy : bool;  (* a submitter holds the helpers *)
+  mutable closed : bool;
+  mutable domains : unit Domain.t array;
+}
+
+let helpers t = t.helpers
+
+(* Helper [k] (1-based) is participant [k] of every batch wide enough to
+   have one, and records metrics on shard slot [first_slot + k - 1]. *)
+let helper_main t ~slot ~minor_heap_words k () =
+  Domain.DLS.set in_worker true;
+  Obs.Shard.set_slot slot;
+  Option.iter
+    (fun words -> Gc.set { (Gc.get ()) with Gc.minor_heap_size = words })
+    minor_heap_words;
+  let rec loop seen =
+    Mutex.lock t.m;
+    while (not t.closed) && (t.posted = None || t.epoch = seen) do
+      Condition.wait t.wake t.m
+    done;
+    match t.posted with
+    | _ when t.closed -> Mutex.unlock t.m
+    | None -> assert false
+    | Some b ->
+      let epoch = t.epoch in
+      let domains = Array.length b.deques in
+      if k < domains then b.joined <- b.joined + 1;
+      Mutex.unlock t.m;
+      if k < domains then begin
+        run_worker ~deques:b.deques ~domains ~w:k ~run:b.run_task;
+        Mutex.lock t.m;
+        b.joined <- b.joined - 1;
+        if b.joined = 0 then Condition.broadcast t.left;
+        Mutex.unlock t.m
+      end;
+      loop epoch
+  in
+  loop 0
+
+let create ?minor_heap_words ~helpers ~first_slot () =
+  if helpers < 0 || (helpers > 0 && (first_slot < 1 || first_slot + helpers > max_domains))
+  then
+    invalid_arg
+      (Printf.sprintf "Qopt_par.Pool.create: %d helpers from slot %d exceed [1, %d)"
+         helpers first_slot max_domains);
+  let t =
+    {
+      helpers;
+      m = Mutex.create ();
+      wake = Condition.create ();
+      left = Condition.create ();
+      posted = None;
+      epoch = 0;
+      busy = false;
+      closed = false;
+      domains = [||];
+    }
+  in
+  t.domains <-
+    Array.init helpers (fun i ->
+        Domain.spawn (helper_main t ~slot:(first_slot + i) ~minor_heap_words (i + 1)));
+  t
+
+let close t =
+  Mutex.lock t.m;
+  let first = not t.closed in
+  t.closed <- true;
+  Condition.broadcast t.wake;
+  Mutex.unlock t.m;
+  if first then Array.iter Domain.join t.domains
+
+(* Claim the helpers for one batch; a caller that finds them held by
+   another submitter runs its batch alone instead of waiting. *)
+let acquire t =
+  Mutex.lock t.m;
+  let ok = (not t.busy) && not t.closed in
+  if ok then t.busy <- true;
+  Mutex.unlock t.m;
+  ok
+
+type cell =
+  | Pending
+  | Done
+  | Exn of exn * Printexc.raw_backtrace
+
+let run t n f =
+  if n <= 0 then ()
+  else if n = 1 || t.helpers = 0 || Domain.DLS.get in_worker || not (acquire t)
+  then
+    for i = 0 to n - 1 do
+      f i
+    done
   else begin
+    let domains = min (t.helpers + 1) n in
     let deques = Array.init domains (fun _ -> Deque.create ((n / domains) + 1)) in
     (* Deterministic round-robin seeding: task i starts in deque (i mod d).
        Stealing may move it, but tasks carry their index, so placement never
@@ -78,34 +181,55 @@ let map_indexed ?(domains = 1) n f =
     for i = 0 to n - 1 do
       Deque.push deques.(i mod domains) i
     done;
-    let results = Array.make n Pending in
-    let run i =
-      results.(i) <-
-        (try Ok_ (f i) with e -> Exn (e, Printexc.get_raw_backtrace ()))
+    let cells = Array.make n Pending in
+    let run_task i =
+      cells.(i) <-
+        (try
+           f i;
+           Done
+         with e -> Exn (e, Printexc.get_raw_backtrace ()))
     in
-    let worker w () =
-      Domain.DLS.set in_worker true;
-      (* Spawned workers claim distinct obs shard slots so metric recording
-         never races; the caller (worker 0) keeps its own slot. *)
-      if w > 0 then Obs.Shard.set_slot w;
-      run_worker ~deques ~domains ~w ~run
-    in
-    let spawned =
-      Array.init (domains - 1) (fun k -> Domain.spawn (worker (k + 1)))
-    in
-    let caller_was_worker = Domain.DLS.get in_worker in
+    let b = { deques; run_task; joined = 0 } in
+    Mutex.lock t.m;
+    t.posted <- Some b;
+    t.epoch <- t.epoch + 1;
+    Condition.broadcast t.wake;
+    Mutex.unlock t.m;
+    Domain.DLS.set in_worker true;
     Fun.protect
       ~finally:(fun () ->
-        Array.iter Domain.join spawned;
-        Domain.DLS.set in_worker caller_was_worker)
-      (fun () -> worker 0 ());
-    Array.map
+        (* The barrier: close the batch to late helpers, then wait for the
+           ones inside it to finish their last task. *)
+        Mutex.lock t.m;
+        t.posted <- None;
+        while b.joined > 0 do
+          Condition.wait t.left t.m
+        done;
+        t.busy <- false;
+        Mutex.unlock t.m;
+        Domain.DLS.set in_worker false)
+      (fun () -> run_worker ~deques ~domains ~w:0 ~run:run_task);
+    Array.iter
       (function
-        | Ok_ v -> v
+        | Done -> ()
         | Exn (e, bt) -> Printexc.raise_with_backtrace e bt
         | Pending ->
-          (* Unreachable: every index is seeded exactly once and workers
-             drain until all deques are empty. *)
+          (* Unreachable: every index is seeded exactly once and the
+             participants drain until all deques are empty. *)
           assert false)
-      results
+      cells
+  end
+
+let map_indexed ?(domains = 1) n f =
+  let domains = clamp_domains (min domains (max 1 n)) in
+  if n = 0 then [||]
+  else if domains = 1 || Domain.DLS.get in_worker then Array.init n f
+  else begin
+    let results = Array.make n None in
+    (* Helpers take slots 1..domains-1; the caller keeps its own. *)
+    let t = create ~helpers:(domains - 1) ~first_slot:1 () in
+    Fun.protect
+      ~finally:(fun () -> close t)
+      (fun () -> run t n (fun i -> results.(i) <- Some (f i)));
+    Array.map Option.get results
   end

@@ -32,6 +32,8 @@ type config = {
       (* fitted time model for the spanning-tree fallback: its prediction
          competes with the DP prediction in regime selection. *)
   greedy_restarts : int;  (* randomized restarts per fallback compile *)
+  helpers : Qopt_par.Pool.t option;
+      (* persistent helper domains that share each DP compile's levels *)
 }
 
 let default_config ~listen ~model ~schemas () =
@@ -53,6 +55,7 @@ let default_config ~listen ~model ~schemas () =
     budget = O.Budget.unlimited;
     greedy_model = Cote.Greedy_model.default;
     greedy_restarts = 0;
+    helpers = None;
   }
 
 type stats = {
@@ -212,6 +215,8 @@ let stats_json t =
       ("queue_depth", J.int s.st_queue_depth);
       ("in_flight_s", J.Num s.st_in_flight_s);
       ("mode", J.Str (Sched.mode_string (Sched.mode t.sched)));
+      ( "helpers",
+        J.int (match t.cfg.helpers with None -> 0 | Some p -> Qopt_par.Pool.helpers p) );
       ("metrics", Obs.Registry.json_value Obs.Registry.default);
     ]
     @ Frontdoor.model_fields ~model:(current_model t) ~fit_s:t.cfg.model_fit_s)
@@ -356,7 +361,9 @@ let rec run_job t job =
 and run_dp t job ~now ~interrupt =
   match
     O.Optimizer.optimize t.cfg.env ~interrupt ~budget:t.cfg.budget
-      ~knobs:job.j_knobs job.j_block
+      ~knobs:job.j_knobs
+      ?runner:(Option.map Qopt_par.Pool.run t.cfg.helpers)
+      job.j_block
   with
     | r ->
       (match t.recal with

@@ -89,6 +89,14 @@ type config = {
   greedy_restarts : int;
       (** randomized restarts per fallback compile (seed-deterministic).
           Default 0. *)
+  helpers : Qopt_par.Pool.t option;
+      (** persistent helper domains that generate each DP compile's plans
+          level by level beside the worker ({!O.Optimizer.optimize}
+          [~runner]); replies are bit-identical to a serial compile and
+          [elapsed_s] is wall clock.  The pool's slots must follow the
+          workers' ([1..workers]); the caller owns and closes it.  [stats]
+          reports its size as [helpers].  Default [None]: serial
+          compiles. *)
 }
 
 val default_config :
@@ -99,7 +107,7 @@ val default_config :
   config
 (** Serial env, 1 worker, SJF, unlimited admission, {!Level.default_levels},
     no downgrade threshold, no default deadline, unlimited budget, default
-    greedy model, 0 restarts. *)
+    greedy model, 0 restarts, no helpers. *)
 
 type stats = {
   st_requests : int;

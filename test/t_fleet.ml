@@ -501,122 +501,166 @@ let backend_fields doc =
       bs
   | _ -> Alcotest.fail "stats doc has no backends array"
 
+(* [n] spawned [qopt serve] backends (each a real process, so a test can
+   SIGKILL one) behind an in-process router probing down backends after
+   [probe_after_s]; [f] gets a client of the router. *)
+let with_spawned_fleet ~tag ~n ~probe_after_s f =
+  let bpaths =
+    List.init n (fun i -> next_sock (Printf.sprintf "%sb%d" tag i))
+  in
+  let rpath = next_sock (tag ^ "router") in
+  let specs =
+    List.map
+      (fun p ->
+        {
+          F.Backend.sp_addr = `Unix p;
+          sp_launch =
+            F.Backend.Spawn
+              {
+                exe = qopt_exe;
+                argv =
+                  [| "qopt"; "serve"; "-s"; p; "--workers"; "1"; "--trust-hints" |];
+              };
+        })
+      bpaths
+  in
+  let cfg =
+    {
+      (F.Router.default_config ~listen:(`Unix rpath) ~backends:specs ~model
+         ~schemas:[ ("warehouse", schema) ]
+         ())
+      with
+      F.Router.probe_after_s;
+    }
+  in
+  let router = start_thread_ready (fun on_ready -> F.Router.run ~on_ready cfg) in
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         let c = Srv.Client.connect (`Unix rpath) in
+         ignore (Srv.Client.request c (Srv.Proto.Shutdown { id = 999_997 }));
+         Srv.Client.close c
+       with Unix.Unix_error _ | Sys_error _ -> ());
+      Thread.join router;
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) (rpath :: bpaths))
+    (fun () ->
+      let c = Srv.Client.connect (`Unix rpath) in
+      Fun.protect ~finally:(fun () -> Srv.Client.close c) (fun () -> f c))
+
+(* Poll the router's stats until [ok] holds of the backend fields, for
+   at most [within_s]. *)
+let await_backends c ~within_s what ok =
+  let deadline = Unix.gettimeofday () +. within_s in
+  let rec go () =
+    let fields = backend_fields (stats_doc c) in
+    if ok fields then fields
+    else if Unix.gettimeofday () > deadline then
+      Alcotest.failf "%s: not within %.0f s" what within_s
+    else begin
+      Thread.delay 0.01;
+      go ()
+    end
+  in
+  go ()
+
 let failover_tests =
   [
     t "SIGKILLed backend fails over with zero lost requests, then respawns"
       (fun () ->
-        let bpaths = List.init 3 (fun i -> next_sock (Printf.sprintf "kb%d" i)) in
-        let rpath = next_sock "krouter" in
-        let specs =
-          List.map
-            (fun p ->
-              {
-                F.Backend.sp_addr = `Unix p;
-                sp_launch =
-                  F.Backend.Spawn
-                    {
-                      exe = qopt_exe;
-                      argv =
-                        [|
-                          "qopt"; "serve"; "-s"; p; "--workers"; "1";
-                          "--trust-hints";
-                        |];
-                    };
-              })
-            bpaths
-        in
-        let cfg =
-          {
-            (F.Router.default_config ~listen:(`Unix rpath) ~backends:specs
-               ~model
-               ~schemas:[ ("warehouse", schema) ]
-               ())
+        with_spawned_fleet ~tag:"k" ~n:3 ~probe_after_s:0.05 (fun c ->
+          let failovers0 = counter "fleet.failovers" in
+          (* Route one compile to find the template's owner. *)
+          ignore (compile_exn c (small_sql 1));
+          let owner_pid =
+            match
+              List.find_opt
+                (fun (_, _, routed) -> routed > 0)
+                (backend_fields (stats_doc c))
             with
-            F.Router.probe_after_s = 0.05;
-          }
-        in
-        let router =
-          start_thread_ready (fun on_ready -> F.Router.run ~on_ready cfg)
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            (try
-               let c = Srv.Client.connect (`Unix rpath) in
-               ignore
-                 (Srv.Client.request c (Srv.Proto.Shutdown { id = 999_997 }));
-               Srv.Client.close c
-             with Unix.Unix_error _ | Sys_error _ -> ());
-            Thread.join router;
-            List.iter
-              (fun p -> try Sys.remove p with Sys_error _ -> ())
-              (rpath :: bpaths))
-          (fun () ->
-            let c = Srv.Client.connect (`Unix rpath) in
-            Fun.protect
-              ~finally:(fun () -> Srv.Client.close c)
-              (fun () ->
-                let failovers0 = counter "fleet.failovers" in
-                (* Route one compile to find the template's owner. *)
-                ignore (compile_exn c (small_sql 1));
-                let owner_pid =
-                  match
-                    List.find_opt
-                      (fun (_, _, routed) -> routed > 0)
-                      (backend_fields (stats_doc c))
-                  with
-                  | Some (_, Some pid, _) -> pid
-                  | Some (_, None, _) ->
-                    Alcotest.fail "owner backend has no pid"
-                  | None -> Alcotest.fail "no backend routed the probe compile"
-                in
-                Unix.kill owner_pid Sys.sigkill;
-                (* Pipeline a burst at the now-dead owner: every request
-                   must come back compiled via failover — one retry each,
-                   never a wedge, never a lost reply. *)
-                let ids =
-                  List.init 40 (fun _ ->
-                      let id = Srv.Client.fresh_id c in
-                      Srv.Client.send c (compile_req id (small_sql (id mod 9)));
-                      id)
-                in
-                let got = Hashtbl.create 64 in
-                List.iter
-                  (fun _ ->
-                    match Srv.Client.recv c with
-                    | Some (Srv.Proto.R_compile (rid, _)) ->
-                      Hashtbl.replace got rid ()
-                    | Some r ->
-                      Alcotest.failf "expected compile reply, got %s"
-                        (J.to_string (Srv.Proto.reply_to_json r))
-                    | None -> Alcotest.fail "router closed mid-burst")
-                  ids;
-                List.iter
-                  (fun id ->
-                    Alcotest.(check bool)
-                      (Printf.sprintf "reply for id %d" id)
-                      true (Hashtbl.mem got id))
-                  ids;
-                Alcotest.(check bool) "at least one failover" true
-                  (counter "fleet.failovers" - failovers0 >= 1);
-                (* The probe respawns the killed process: all three
-                   backends must be back in rotation, the dead one under
-                   a fresh pid. *)
-                let deadline = Unix.gettimeofday () +. 10.0 in
-                let rec wait_respawn () =
-                  let fields = backend_fields (stats_doc c) in
-                  let all_up = List.for_all (fun (up, _, _) -> up) fields in
-                  let pids = List.filter_map (fun (_, pid, _) -> pid) fields in
-                  if all_up && List.length pids = 3 then
-                    Alcotest.(check bool) "killed pid replaced" false
-                      (List.mem owner_pid pids)
-                  else if Unix.gettimeofday () > deadline then
-                    Alcotest.fail "fleet did not heal within 10s"
-                  else begin
-                    Thread.delay 0.05;
-                    wait_respawn ()
-                  end
-                in
-                wait_respawn ())))
+            | Some (_, Some pid, _) -> pid
+            | Some (_, None, _) ->
+              Alcotest.fail "owner backend has no pid"
+            | None -> Alcotest.fail "no backend routed the probe compile"
+          in
+          (* The router takes a backend whose socket hangs up out of
+             rotation at once, so a request can only fail over if it
+             is in flight when the owner dies: stop the owner, route
+             the same template to it again, then kill it. *)
+          Unix.kill owner_pid Sys.sigstop;
+          let in_flight = Srv.Client.fresh_id c in
+          Srv.Client.send c (compile_req in_flight (small_sql 1));
+          Thread.delay 0.2;
+          Unix.kill owner_pid Sys.sigkill;
+          (* Pipeline a burst at the now-dead owner: every request
+             must come back compiled via failover — one retry each,
+             never a wedge, never a lost reply. *)
+          let ids =
+            in_flight
+            :: List.init 40 (fun _ ->
+                   let id = Srv.Client.fresh_id c in
+                   Srv.Client.send c (compile_req id (small_sql (id mod 9)));
+                   id)
+          in
+          let got = Hashtbl.create 64 in
+          List.iter
+            (fun _ ->
+              match Srv.Client.recv c with
+              | Some (Srv.Proto.R_compile (rid, _)) ->
+                Hashtbl.replace got rid ()
+              | Some r ->
+                Alcotest.failf "expected compile reply, got %s"
+                  (J.to_string (Srv.Proto.reply_to_json r))
+              | None -> Alcotest.fail "router closed mid-burst")
+            ids;
+          List.iter
+            (fun id ->
+              Alcotest.(check bool)
+                (Printf.sprintf "reply for id %d" id)
+                true (Hashtbl.mem got id))
+            ids;
+          Alcotest.(check bool) "at least one failover" true
+            (counter "fleet.failovers" - failovers0 >= 1);
+          (* The probe respawns the killed process: all three
+             backends must be back in rotation, the dead one under
+             a fresh pid. *)
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          let rec wait_respawn () =
+            let fields = backend_fields (stats_doc c) in
+            let all_up = List.for_all (fun (up, _, _) -> up) fields in
+            let pids = List.filter_map (fun (_, pid, _) -> pid) fields in
+            if all_up && List.length pids = 3 then
+              Alcotest.(check bool) "killed pid replaced" false
+                (List.mem owner_pid pids)
+            else if Unix.gettimeofday () > deadline then
+              Alcotest.fail "fleet did not heal within 10s"
+            else begin
+              Thread.delay 0.05;
+              wait_respawn ()
+            end
+          in
+          wait_respawn ()));
+    t "an idle SIGKILLed backend leaves rotation and comes back respawned"
+      (fun () ->
+        (* No request ever goes to the killed backend: only its channel's
+           hang-up (or the stats rpc failing) can tell the router. *)
+        with_spawned_fleet ~tag:"i" ~n:2 ~probe_after_s:0.3 (fun c ->
+            let pid0 =
+              match
+                await_backends c ~within_s:5.0 "both backends up"
+                  (List.for_all (fun (up, pid, _) -> up && pid <> None))
+              with
+              | (_, Some pid, _) :: _ -> pid
+              | _ -> Alcotest.fail "backend 0 has no pid"
+            in
+            Unix.kill pid0 Sys.sigkill;
+            ignore
+              (await_backends c ~within_s:2.0 "killed backend marked down"
+                 (function (up, _, _) :: _ -> not up | [] -> false));
+            ignore
+              (await_backends c ~within_s:10.0 "killed backend respawned"
+                 (function
+                   | (up, Some pid, _) :: _ -> up && pid <> pid0
+                   | _ -> false))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -741,6 +785,34 @@ let startup_tests =
                 Alcotest.(check bool) "fit seconds reported" true
                   (Option.value ~default:0.0 (doc_num doc "model_fit_s") > 0.0);
                 ignore (model_text doc))));
+    t "estimate fits like serve --model calibrated: one compile per query"
+      (fun () ->
+        (* The fit compiles each calibration query once and estimates
+           nothing; the one COTE run is the estimate asked for. *)
+        let ic =
+          Unix.open_process_args_in qopt_exe
+            [| "qopt"; "estimate"; "-w"; "tpch"; "-q"; "tpch_q8"; "--metrics=json" |]
+        in
+        let rec last acc =
+          match input_line ic with
+          | line -> last (Some line)
+          | exception End_of_file -> acc
+        in
+        let out = last None in
+        (match Unix.close_process_in ic with
+        | Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.fail "qopt estimate failed");
+        let doc =
+          match Option.map J.parse out with
+          | Some (Ok doc) -> doc
+          | Some (Error e) -> Alcotest.failf "metrics line is not JSON: %s" e
+          | None -> Alcotest.fail "qopt estimate printed nothing"
+        in
+        let count name = J.member "counters" doc >>= J.member name >>= J.get_int in
+        Alcotest.(check (option int)) "optimizer.queries" (Some 18)
+          (count "optimizer.queries");
+        Alcotest.(check (option int)) "estimator.runs" (Some 1)
+          (count "estimator.runs"));
     t "fleet backends serve the router's fit bit for bit, never calibrating"
       (fun () ->
         let path = next_sock "calfleet" in

@@ -442,7 +442,66 @@ let wiring_property =
                && snap "plan_gen.plans.scan" - s0 = r.O.Optimizer.scan_plans
                && snap "memo.entries" - e0 = r.O.Optimizer.entries)))
 
+(* Every counter of a compile whose levels went wide, merged over the
+   caller's and the helper's shard slots, must read what the serial
+   compile reads: each increment lands on exactly one slot.  Excluded:
+   the split-level count itself, and [plan_gen.alloc_bytes], which reads
+   the compiling domain's allocation only. *)
+let counters_after f =
+  with_on (fun () ->
+      Obs.Registry.reset Obs.Registry.default;
+      f ();
+      match
+        Qopt_util.Json.member "counters"
+          (Obs.Registry.json_value Obs.Registry.default)
+      with
+      | Some (Qopt_util.Json.Obj kvs) ->
+        List.filter_map
+          (fun (k, v) ->
+            match Qopt_util.Json.get_int v with
+            | Some n
+              when k <> "optimizer.parallel_levels" && k <> "plan_gen.alloc_bytes"
+              ->
+              Some (k, n)
+            | Some _ | None -> None)
+          kvs
+      | Some _ | None -> Alcotest.fail "no counters section")
+
+let parallel_counter_tests =
+  [
+    t "merged counters of a compile with a helper equal the serial compile's"
+      (fun () ->
+        let pool = Qopt_par.Pool.create ~helpers:1 ~first_slot:1 () in
+        Fun.protect
+          ~finally:(fun () -> Qopt_par.Pool.close pool)
+          (fun () ->
+            let queries =
+              List.filteri (fun i _ -> i mod 10 = 0) (Lazy.force query_pool)
+            in
+            let wide = ref 0 in
+            List.iter
+              (fun (q : W.Workload.query) ->
+                let compile ?runner () =
+                  ignore
+                    (O.Optimizer.optimize O.Env.serial ?runner q.W.Workload.block)
+                in
+                let serial = counters_after (fun () -> compile ()) in
+                let par =
+                  counters_after (fun () ->
+                      compile ~runner:(Qopt_par.Pool.run pool) ();
+                      wide :=
+                        !wide
+                        + Obs.Registry.counter_value Obs.Registry.default
+                            "optimizer.parallel_levels")
+                in
+                Alcotest.(check (list (pair string int)))
+                  q.W.Workload.q_name serial par)
+              queries;
+            Alcotest.(check bool) "some levels went wide" true (!wide > 0)));
+  ]
+
 let suite =
   counter_tests @ gauge_tests @ histo_tests @ span_tests @ registry_tests
   @ differential_tests
   @ [ wiring_property ]
+  @ parallel_counter_tests

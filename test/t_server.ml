@@ -528,6 +528,56 @@ let server_tests =
                 | r ->
                   Alcotest.failf "expected compile reply, got %s"
                     (J.to_string (Srv.Proto.reply_to_json r)))));
+    t "a server with a helper compiles bit-for-bit and counts wide levels"
+      (fun () ->
+        let pool = Qopt_par.Pool.create ~helpers:1 ~first_slot:2 () in
+        Fun.protect
+          ~finally:(fun () -> Qopt_par.Pool.close pool)
+          (fun () ->
+            with_server
+              ~configure:(fun c -> { c with Srv.Server.helpers = Some pool })
+              (fun addr ->
+                let c = Srv.Client.connect addr in
+                Fun.protect
+                  ~finally:(fun () -> Srv.Client.close c)
+                  (fun () ->
+                    let block = Qopt_sql.Binder.parse_and_bind schema big_sql in
+                    let direct = O.Optimizer.optimize O.Env.serial block in
+                    let wide () =
+                      Qopt_obs.Registry.counter_value Qopt_obs.Registry.default
+                        "optimizer.parallel_levels"
+                    in
+                    let wide0 = wide () in
+                    let id = Srv.Client.fresh_id c in
+                    (match
+                       request_exn c
+                         (Srv.Proto.Compile
+                            { id; sql = big_sql; schema = None; deadline_ms = None;
+                              estimate_hint_s = None })
+                     with
+                    | Srv.Proto.R_compile (_, b) ->
+                      Alcotest.(check (option string)) "plan"
+                        (Option.map
+                           (Format.asprintf "%a" O.Plan.pp_compact)
+                           direct.O.Optimizer.best)
+                        b.Srv.Proto.c_plan;
+                      Alcotest.(check (float 0.0)) "cost bit-for-bit"
+                        (Option.fold ~none:0.0 ~some:(fun p -> p.O.Plan.cost)
+                           direct.O.Optimizer.best)
+                        b.Srv.Proto.c_cost;
+                      Alcotest.(check int) "kept" direct.O.Optimizer.kept
+                        b.Srv.Proto.c_kept
+                    | r ->
+                      Alcotest.failf "expected compile reply, got %s"
+                        (J.to_string (Srv.Proto.reply_to_json r)));
+                    Alcotest.(check bool) "levels went wide" true (wide () > wide0);
+                    match
+                      request_exn c (Srv.Proto.Stats { id = Srv.Client.fresh_id c })
+                    with
+                    | Srv.Proto.R_stats (_, doc) ->
+                      Alcotest.(check (option int)) "helpers" (Some 1)
+                        (Option.bind (J.member "helpers" doc) J.get_int)
+                    | _ -> Alcotest.fail "expected stats reply"))));
     t "second structurally identical compile hits the statement cache" (fun () ->
         with_server (fun addr ->
             let c = Srv.Client.connect addr in

@@ -22,6 +22,7 @@ let () =
       ("obs", T_obs.suite);
       ("hotpath", T_hotpath.suite);
       ("par", T_par.suite);
+      ("parallel-gen", T_parallel_gen.suite);
       ("contention", T_contention.suite);
       ("stmt-cache", T_stmt_cache.suite);
       ("recalibrate", T_recalibrate.suite);
