@@ -356,11 +356,6 @@ let batch_rows () =
                            blocked on the striped stmt+plan cache locks at
                            N domains: total lock.{stmt,plan}_cache wait_s
                            delta / (elapsed * N)
-     lock/wait-share-{shared-mutex,striped}-dN
-                         — the before/after row pair at the top domain
-                           count: the same hammer against ~stripes:1 (the
-                           old single-shared-mutex design) vs the default
-                           stripe count
 
    Domain counts double from 1 up to [Domain.recommended_domain_count];
    a single-core host still measures {1, 2} so the time-sliced speedup
@@ -369,8 +364,7 @@ let batch_rows () =
    probe-or-record plus a plan-cache probe-or-store against shared caches,
    hit-heavy after warmup, with a small hot key set so stripes actually
    collide.  Wait share measured on one core overstates contention (a
-   descheduled lock holder charges its whole timeslice to the waiter) —
-   the shared-mutex-vs-striped *ratio* is the portable signal. *)
+   descheduled lock holder charges its whole timeslice to the waiter). *)
 let scale_domain_counts () =
   let cores =
     min (Domain.recommended_domain_count ()) Qopt_par.Pool.max_domains
@@ -386,7 +380,6 @@ let scale_domain_counts () =
 
 let scale_rows () =
   let ds = scale_domain_counts () in
-  let dmax = List.fold_left max 1 ds in
   let corpus = batch_corpus () in
   let n = List.length corpus in
   let qps_at d =
@@ -418,12 +411,10 @@ let scale_rows () =
   let keys = Array.map Cote.Stmt_cache.signature blocks in
   let nb = Array.length blocks in
   let ops_per_domain = 20_000 in
-  let wait_share_at ?stripes d =
+  let wait_share_at d =
     Obs.Control.with_enabled true (fun () ->
-        let cache = Cote.Stmt_cache.create ~shared:true ?stripes () in
-        let pcache : unit Cote.Plan_cache.t =
-          Cote.Plan_cache.create ~shared:true ?stripes ()
-        in
+        let cache = Cote.Stmt_cache.create ~shared:true () in
+        let pcache : unit Cote.Plan_cache.t = Cote.Plan_cache.create ~shared:true () in
         let wait () =
           Obs.Lock.wait_s "stmt_cache" +. Obs.Lock.wait_s "plan_cache"
         in
@@ -446,15 +437,6 @@ let scale_rows () =
         (wait () -. w0) /. (t *. float_of_int d))
   in
   let shares = List.map (fun d -> (d, wait_share_at d)) ds in
-  (* The before/after pair needs enough waiters to pile up on one mutex:
-     with only two domains a blocked waiter is a blocked waiter whatever
-     the stripe count, so run the pair at >= 4 domains even on small
-     hosts. *)
-  let dc = min (max dmax 4) Qopt_par.Pool.max_domains in
-  let before = wait_share_at ~stripes:1 dc in
-  let after =
-    if dc = dmax then List.assoc dmax shares else wait_share_at dc
-  in
   let rows =
     List.concat_map
       (fun (d, q) ->
@@ -463,13 +445,7 @@ let scale_rows () =
           (Printf.sprintf "scale/speedup-d%d" d, q /. q1);
         ])
       qps
-    @ List.map
-        (fun (d, s) -> (Printf.sprintf "lock/wait-share-d%d" d, s))
-        shares
-    @ [
-        (Printf.sprintf "lock/wait-share-shared-mutex-d%d" dc, before);
-        (Printf.sprintf "lock/wait-share-striped-d%d" dc, after);
-      ]
+    @ List.map (fun (d, s) -> (Printf.sprintf "lock/wait-share-d%d" d, s)) shares
   in
   Format.printf
     "=== Multicore scaling (%d compile tasks; hammer %d ops/domain) ===@." n

@@ -29,14 +29,18 @@ let measure ?knobs ?(repeats = 3) ?runner env block =
     obs_t_hsjn = result.O.Optimizer.breakdown.O.Instrument.s_hsjn;
   }
 
-let fit ?(with_join_term = false) observations =
-  if observations = [] then invalid_arg "Calibrate.fit: no observations";
+(* The regression's design matrix and targets. *)
+let training ~with_join_term observations =
   let features o =
     if with_join_term then [| o.obs_nljn; o.obs_mgjn; o.obs_hsjn; o.obs_joins |]
     else [| o.obs_nljn; o.obs_mgjn; o.obs_hsjn |]
   in
-  let xs = Array.of_list (List.map features observations) in
-  let ys = Array.of_list (List.map (fun o -> o.obs_seconds) observations) in
+  ( Array.of_list (List.map features observations),
+    Array.of_list (List.map (fun o -> o.obs_seconds) observations) )
+
+let fit ?(with_join_term = false) observations =
+  if observations = [] then invalid_arg "Calibrate.fit: no observations";
+  let xs, ys = training ~with_join_term observations in
   let c = Regression.fit_nonneg xs ys in
   Time_model.make ~c_nljn:c.(0) ~c_mgjn:c.(1) ~c_hsjn:c.(2)
     ?c_join:(if with_join_term then Some c.(3) else None)
@@ -50,12 +54,7 @@ let refit ?ridge ?(with_join_term = false) ~previous observations =
   match observations with
   | [] -> previous
   | _ -> (
-    let features o =
-      if with_join_term then [| o.obs_nljn; o.obs_mgjn; o.obs_hsjn; o.obs_joins |]
-      else [| o.obs_nljn; o.obs_mgjn; o.obs_hsjn |]
-    in
-    let xs = Array.of_list (List.map features observations) in
-    let ys = Array.of_list (List.map (fun o -> o.obs_seconds) observations) in
+    let xs, ys = training ~with_join_term observations in
     (* Solvable (full-rank) normal equations are the health check; the
        coefficients themselves come from the usual non-negative fit.  An
        optional ridge dampens the check for callers that would rather

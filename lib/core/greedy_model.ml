@@ -1,6 +1,5 @@
 module O = Qopt_optimizer
 module Regression = Qopt_util.Regression
-module Timer = Qopt_util.Timer
 
 type t = {
   g_quant : float;
@@ -14,8 +13,7 @@ let make ~g_quant ~g_edge ~g_restart () = { g_quant; g_edge; g_restart }
    20-50 tables) on the reference container: the spanning-tree sweep is
    edge-dominated (sorting + union-find + 6 costed joins per accepted edge),
    quantifiers add the scan-plan pass, and each restart re-runs the sweep.
-   Re-fit with [calibrate] for a new environment, exactly like the DP
-   model. *)
+   Re-fit with [fit] for a new environment, exactly like the DP model. *)
 let default = { g_quant = 6e-5; g_edge = 1.5e-5; g_restart = 3e-3 }
 
 let predict t ~quantifiers ~edges ~restarts =
@@ -34,18 +32,6 @@ type observation = {
   gob_seconds : float;
 }
 
-let measure ?(seed = 0) ?(restarts = 0) ?(repeats = 3) env block =
-  let fb, seconds =
-    Timer.time_median ~repeats (fun () ->
-        O.Optimizer.optimize_fallback env ~seed ~restarts block)
-  in
-  {
-    gob_quant = float_of_int fb.O.Optimizer.fb_quantifiers;
-    gob_edges = float_of_int fb.O.Optimizer.fb_edges;
-    gob_restarts = float_of_int fb.O.Optimizer.fb_restarts;
-    gob_seconds = seconds;
-  }
-
 let fit observations =
   if observations = [] then invalid_arg "Greedy_model.fit: no observations";
   let xs =
@@ -57,12 +43,6 @@ let fit observations =
   let ys = Array.of_list (List.map (fun o -> o.gob_seconds) observations) in
   let c = Regression.fit_nonneg xs ys in
   { g_quant = c.(0); g_edge = c.(1); g_restart = c.(2) }
-
-let calibrate ?seed ?repeats env specs =
-  fit
-    (List.map
-       (fun (block, restarts) -> measure ?seed ~restarts ?repeats env block)
-       specs)
 
 let pp ppf t =
   Format.fprintf ppf "Gq=%.3gus Ge=%.3gus Gr=%.3gus" (t.g_quant *. 1e6)

@@ -24,7 +24,7 @@ val make : g_quant:float -> g_edge:float -> g_restart:float -> unit -> t
 
 val default : t
 (** Coefficients fitted on the giant workload in the reference environment;
-    re-fit with {!calibrate} elsewhere, exactly like the DP model. *)
+    re-fit with {!fit} elsewhere, exactly like the DP model. *)
 
 val predict : t -> quantifiers:int -> edges:int -> restarts:int -> float
 (** Predicted fallback compile seconds. *)
@@ -40,26 +40,8 @@ type observation = {
   gob_seconds : float;  (** measured fallback wall-clock seconds *)
 }
 
-val measure :
-  ?seed:int ->
-  ?restarts:int ->
-  ?repeats:int ->
-  O.Env.t ->
-  O.Query_block.t ->
-  observation
-(** Run the fallback for real ([repeats] times, default 3, median timing)
-    and package the observation. *)
-
 val fit : observation list -> t
 (** Non-negative least squares, mirroring {!Calibrate.fit}.  Raises
     [Invalid_argument] on an empty list. *)
-
-val calibrate :
-  ?seed:int ->
-  ?repeats:int ->
-  O.Env.t ->
-  (O.Query_block.t * int) list ->
-  t
-(** [measure] every [(block, restarts)] training pair, then {!fit}. *)
 
 val pp : Format.formatter -> t -> unit

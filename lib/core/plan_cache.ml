@@ -14,26 +14,6 @@ let m_evictions = Obs.Registry.counter Obs.Registry.default "plan_cache.eviction
 
 let m_size = Obs.Registry.gauge Obs.Registry.default "plan_cache.size"
 
-let m_hit_rate = Obs.Registry.gauge Obs.Registry.default "plan_cache.hit_rate_pct"
-
-(* Flush-driven invalidations ({!bump_stats}) are counted into
-   [plan_cache.invalidations] like lookup-driven ones, but they are not
-   probes: a bulk stats flush of N entries must not deflate the hit-rate
-   gauge, whose denominator counts lookups only.  This counter is
-   internal bookkeeping for that subtraction, not a registered metric. *)
-let m_flush_invalidations = Obs.Counter.make "plan_cache.flush_invalidations"
-
-let update_hit_rate () =
-  if !Obs.Control.on then begin
-    let h = Obs.Counter.value m_hits in
-    let probes =
-      h + Obs.Counter.value m_misses + Obs.Counter.value m_invalidations
-      - Obs.Counter.value m_flush_invalidations
-    in
-    if probes > 0 then
-      Obs.Gauge.set m_hit_rate (float_of_int h /. float_of_int probes *. 100.0)
-  end
-
 type config = {
   slack : float;
   capacity : int;
@@ -63,70 +43,32 @@ type 'a entry = {
   mutable e_tick : int;  (* LRU clock value of the last touch *)
 }
 
-(* A shared cache is striped like {!Stmt_cache}: the key hash picks one of
-   N independently locked stripes, each a self-contained cache — its own
-   table, LRU clock, tallies, capacity share, and its own copy of the
-   per-table statistics generations.  Duplicating the generations per
-   stripe keeps every lookup single-lock (no shared generation table to
-   consult); {!bump_stats} walks the stripes one at a time, so a lookup
-   racing a bump sees each stripe either before or after its flush —
-   never a torn state within one stripe. *)
+(* A shared cache is {!Striped} like {!Stmt_cache}; each stripe is a
+   self-contained cache — its own table, LRU clock, capacity share, and
+   its own copy of the per-table statistics generations.  Duplicating the
+   generations per stripe keeps every lookup single-lock (no shared
+   generation table to consult); {!bump_stats} walks the stripes one at a
+   time, so a lookup racing a bump sees each stripe either before or
+   after its flush — never a torn state within one stripe. *)
 type 'a stripe = {
   tbl : (string, 'a entry) Hashtbl.t;
   gens : (string, int) Hashtbl.t;  (* per-table statistics generation *)
   cap : int;  (* this stripe's share of cfg.capacity *)
   mutable tick : int;
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_invalidations : int;
-  mutable s_evictions : int;
-  lock : Obs.Lock.t option;
 }
 
 type 'a t = {
   cfg : config;
-  strs : 'a stripe array;
+  strs : 'a stripe Striped.t;
 }
 
-let default_stripes = 8
-
-let create ?(shared = false) ?stripes ?(config = default_config) () =
-  let n =
-    if not shared then 1
-    else
-      (* Never more stripes than capacity: a zero-capacity stripe could
-         not honour the global size bound. *)
-      let requested =
-        match stripes with Some n when n >= 1 -> min n 64 | Some _ | None -> default_stripes
-      in
-      max 1 (min requested config.capacity)
-  in
+let create ?(shared = false) ?(config = default_config) () =
   {
     cfg = config;
     strs =
-      Array.init n (fun i ->
-          {
-            tbl = Hashtbl.create 64;
-            gens = Hashtbl.create 16;
-            (* Distribute capacity exactly: stripe sizes sum to cfg.capacity. *)
-            cap = (config.capacity / n) + (if i < config.capacity mod n then 1 else 0);
-            tick = 0;
-            s_hits = 0;
-            s_misses = 0;
-            s_invalidations = 0;
-            s_evictions = 0;
-            lock = (if shared then Some (Obs.Lock.create "plan_cache") else None);
-          });
+      Striped.create ~shared ~capacity:config.capacity "plan_cache" (fun cap ->
+          { tbl = Hashtbl.create 64; gens = Hashtbl.create 16; cap; tick = 0 });
   }
-
-let stripes t = Array.length t.strs
-
-let stripe_of t key = t.strs.(Hashtbl.hash key mod Array.length t.strs)
-
-let with_stripe s f =
-  match s.lock with
-  | None -> f ()
-  | Some l -> Obs.Lock.with_lock l f
 
 (* Estimated selectivity of every local predicate across all blocks,
    labelled by predicate signature and sorted: duplicate signatures (the
@@ -167,15 +109,11 @@ let touch s e =
   s.tick <- s.tick + 1;
   e.e_tick <- s.tick
 
-let size_unmerged t =
-  Array.fold_left
-    (fun acc s -> acc + with_stripe s (fun () -> Hashtbl.length s.tbl))
-    0 t.strs
+let size t = Striped.fold t.strs (fun acc s -> acc + Hashtbl.length s.tbl) 0
 
 (* The size gauge needs a cross-stripe sweep; refresh it outside any
    stripe lock so no operation ever holds two locks. *)
-let set_size t =
-  if !Obs.Control.on then Obs.Gauge.set m_size (float_of_int (size_unmerged t))
+let set_size t = if !Obs.Control.on then Obs.Gauge.set m_size (float_of_int (size t))
 
 let evict_lru s =
   let victim = ref None in
@@ -189,7 +127,6 @@ let evict_lru s =
   | None -> ()
   | Some (k, _) ->
     Hashtbl.remove s.tbl k;
-    s.s_evictions <- s.s_evictions + 1;
     Obs.Counter.incr m_evictions
 
 let store t ?key block ~plan payload =
@@ -202,8 +139,7 @@ let store t ?key block ~plan payload =
       (selectivities block)
   in
   let deps = dep_tables block in
-  let s = stripe_of t key in
-  with_stripe s (fun () ->
+  Striped.with_key t.strs key (fun s ->
       if (not (Hashtbl.mem s.tbl key)) && Hashtbl.length s.tbl >= s.cap then
         evict_lru s;
       let e =
@@ -241,28 +177,21 @@ let revalidate e sels gen_of =
 let lookup t ?key block =
   let key = match key with Some k -> k | None -> Stmt_cache.signature block in
   let sels = selectivities block in
-  let s = stripe_of t key in
   let outcome =
-    with_stripe s (fun () ->
+    Striped.with_key t.strs key (fun s ->
         match Hashtbl.find_opt s.tbl key with
         | None ->
-          s.s_misses <- s.s_misses + 1;
           Obs.Counter.incr m_misses;
-          update_hit_rate ();
           Miss
         | Some e -> (
           match revalidate e sels (generation_unlocked s) with
           | Some why ->
             Hashtbl.remove s.tbl key;
-            s.s_invalidations <- s.s_invalidations + 1;
             Obs.Counter.incr m_invalidations;
-            update_hit_rate ();
             Invalidated why
           | None ->
             touch s e;
-            s.s_hits <- s.s_hits + 1;
             Obs.Counter.incr m_hits;
-            update_hit_rate ();
             Hit { plan = e.e_plan; payload = e.e_payload }))
   in
   (match outcome with Invalidated _ -> set_size t | Hit _ | Miss -> ());
@@ -270,56 +199,32 @@ let lookup t ?key block =
 
 let bump_stats t table =
   let flushed =
-    Array.fold_left
+    Striped.fold t.strs
       (fun acc s ->
-        acc
-        + with_stripe s (fun () ->
-              Hashtbl.replace s.gens table (generation_unlocked s table + 1);
-              let victims =
-                Hashtbl.fold
-                  (fun k e acc ->
-                    if Array.exists (fun (n, _) -> String.equal n table) e.e_deps
-                    then k :: acc
-                    else acc)
-                  s.tbl []
-              in
-              List.iter (Hashtbl.remove s.tbl) victims;
-              let n = List.length victims in
-              if n > 0 then begin
-                s.s_invalidations <- s.s_invalidations + n;
-                Obs.Counter.add m_invalidations n;
-                (* No lookups occurred: record the flushes so the hit-rate
-                   denominator can exclude them, and leave the gauge as is. *)
-                Obs.Counter.add m_flush_invalidations n
-              end;
-              n))
-      0 t.strs
+        Hashtbl.replace s.gens table (generation_unlocked s table + 1);
+        let victims =
+          Hashtbl.fold
+            (fun k e acc ->
+              if Array.exists (fun (n, _) -> String.equal n table) e.e_deps
+              then k :: acc
+              else acc)
+            s.tbl []
+        in
+        List.iter (Hashtbl.remove s.tbl) victims;
+        acc + List.length victims)
+      0
   in
-  if flushed > 0 then set_size t;
+  if flushed > 0 then begin
+    Obs.Counter.add m_invalidations flushed;
+    set_size t
+  end;
   flushed
 
 (* Every stripe's generations move in lock step under {!bump_stats}, so
-   any one stripe answers for the cache; use the key-independent first. *)
+   any one stripe answers for the cache: the table name's own. *)
 let generation t name =
-  let s = t.strs.(0) in
-  with_stripe s (fun () -> generation_unlocked s name)
+  Striped.with_key t.strs name (fun s -> generation_unlocked s name)
 
 let envelope t key =
-  let s = stripe_of t key in
-  with_stripe s (fun () ->
-      Option.map
-        (fun e -> Array.to_list e.e_envelope)
-        (Hashtbl.find_opt s.tbl key))
-
-let size = size_unmerged
-
-let sum_stripes t f =
-  Array.fold_left (fun acc s -> acc + with_stripe s (fun () -> f s)) 0 t.strs
-
-let hits t = sum_stripes t (fun s -> s.s_hits)
-
-let misses t = sum_stripes t (fun s -> s.s_misses)
-
-let invalidations t = sum_stripes t (fun s -> s.s_invalidations)
-
-let evictions t = sum_stripes t (fun s -> s.s_evictions)
+  Striped.with_key t.strs key (fun s ->
+      Option.map (fun e -> Array.to_list e.e_envelope) (Hashtbl.find_opt s.tbl key))

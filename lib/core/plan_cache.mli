@@ -28,8 +28,8 @@
 
     Capacity is bounded; insertion over [capacity] evicts the
     least-recently-used entry.  Metrics: [plan_cache.{hits,misses,
-    invalidations,evictions}] counters plus [plan_cache.size] and
-    [plan_cache.hit_rate_pct] gauges in {!Qopt_obs.Registry.default}.
+    invalidations,evictions}] counters plus the [plan_cache.size] gauge
+    in {!Qopt_obs.Registry.default}.
 
     The payload type ['a] is the caller's: the server stores the reply
     fields a hit must echo, tests store fingerprint material. *)
@@ -63,23 +63,17 @@ type 'a outcome =
 
 type 'a t
 
-val create : ?shared:bool -> ?stripes:int -> ?config:config -> unit -> 'a t
+val create : ?shared:bool -> ?config:config -> unit -> 'a t
 (** [~shared:true] makes the cache safe for multi-domain servers.  A
-    shared cache is striped: the key hash picks one of [stripes] (default
-    8, clamped to [[1, min 64 capacity]]) independently locked
-    sub-caches, each owning its share of [capacity], its own LRU clock,
-    and its own copy of the per-table statistics generations (so lookups
-    stay single-lock; {!bump_stats} walks every stripe).  [~stripes:1]
-    recovers the old single-shared-mutex design for before/after
-    contention measurements.  Stripe locks are contention-audited
-    {!Qopt_obs.Lock}s under [lock.plan_cache.*].  LRU eviction is
+    shared cache is {!Striped}: the key hash picks one of
+    [min 8 capacity] sub-caches, each locked under [lock.plan_cache.*]
+    and owning its exact share of [capacity], its own LRU clock, and its
+    own copy of the per-table statistics generations (so lookups stay
+    single-lock; {!bump_stats} walks every stripe).  LRU eviction is
     per-stripe: the evicted entry is the least recently used {e within
     the full stripe}, which under a uniform key hash approximates global
     LRU while never letting total size exceed [capacity].  Defaults to
     [false]: one stripe, no locking. *)
-
-val stripes : 'a t -> int
-(** Number of stripes (1 for an unshared cache). *)
 
 val lookup : 'a t -> ?key:string -> O.Query_block.t -> 'a outcome
 (** Revalidate and serve.  [key] defaults to
@@ -96,9 +90,7 @@ val store : 'a t -> ?key:string -> O.Query_block.t -> plan:O.Plan.t -> 'a -> uni
 val bump_stats : 'a t -> string -> int
 (** [bump_stats t table] advances [table]'s statistics generation and
     eagerly flushes every entry depending on it, returning how many were
-    flushed.  Each flush counts into [plan_cache.invalidations] (and
-    {!invalidations}) but not into the [plan_cache.hit_rate_pct]
-    denominator, which is a ratio over lookups only. *)
+    flushed.  Each flush counts into [plan_cache.invalidations]. *)
 
 val generation : 'a t -> string -> int
 (** Current statistics generation of a table (0 until first bumped). *)
@@ -108,11 +100,4 @@ val envelope : 'a t -> string -> (string * float * float) list option
     lo, hi)] rows — for tests and introspection. *)
 
 val size : 'a t -> int
-
-val hits : 'a t -> int
-
-val misses : 'a t -> int
-
-val invalidations : 'a t -> int
-
-val evictions : 'a t -> int
+(** Entries across all stripes. *)

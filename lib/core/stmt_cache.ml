@@ -9,61 +9,13 @@ let m_misses = Obs.Registry.counter Obs.Registry.default "stmt_cache.misses"
 
 let m_size = Obs.Registry.gauge Obs.Registry.default "stmt_cache.size"
 
-let m_hit_rate = Obs.Registry.gauge Obs.Registry.default "stmt_cache.hit_rate_pct"
+(* A key is (tag, shape): the shape is the caller's key string — shared
+   with the caller, never copied — or the block's {!signature}.  A shared
+   cache spreads the keys over {!Striped} tables. *)
+type t = (string option * string, float) Hashtbl.t Striped.t
 
-let update_hit_rate () =
-  if !Obs.Control.on then begin
-    let h = Obs.Counter.value m_hits and m = Obs.Counter.value m_misses in
-    if h + m > 0 then
-      Obs.Gauge.set m_hit_rate (float_of_int h /. float_of_int (h + m) *. 100.0)
-  end
-
-(* A shared cache is striped: the signature hash picks one of [stripes]
-   independently locked tables, so concurrent domains only serialize when
-   they touch the same stripe.  Each stripe keeps its own hit/miss tallies
-   (summed on read) — a cross-stripe total would need a second shared
-   cell, which is exactly the contention the stripes exist to remove.
-   A key is (tag, shape): the shape is the caller's key string — shared
-   with the caller, never copied — or the block's {!signature}. *)
-type stripe = {
-  tbl : (string option * string, float) Hashtbl.t;
-  mutable s_hits : int;
-  mutable s_misses : int;
-  lock : Obs.Lock.t option;
-}
-
-type t = { stripes : stripe array }
-
-let default_stripes = 8
-
-let create ?(shared = false) ?stripes () =
-  let n =
-    if not shared then 1
-    else
-      match stripes with
-      | Some n when n >= 1 -> min n 64
-      | Some _ | None -> default_stripes
-  in
-  {
-    stripes =
-      Array.init n (fun _ ->
-          {
-            tbl = Hashtbl.create 64;
-            s_hits = 0;
-            s_misses = 0;
-            lock = (if shared then Some (Obs.Lock.create "stmt_cache") else None);
-          });
-  }
-
-let stripes t = Array.length t.stripes
-
-let stripe_of t key =
-  t.stripes.(Hashtbl.hash key mod Array.length t.stripes)
-
-let with_stripe s f =
-  match s.lock with
-  | None -> f ()
-  | Some l -> Obs.Lock.with_lock l f
+let create ?(shared = false) () =
+  Striped.create ~shared ~capacity:max_int "stmt_cache" (fun _ -> Hashtbl.create 64)
 
 let pred_sig block p =
   let col (c : O.Colref.t) =
@@ -130,20 +82,15 @@ let key_of ?tag ?key block =
 let lookup t ?tag ?key block =
   (* The signature is pure over the block; compute it (and the stripe
      choice) outside the lock so concurrent lookups serialize only on
-     their stripe's table probe and bookkeeping. *)
+     their stripe's table probe. *)
   let key = key_of ?tag ?key block in
-  let s = stripe_of t key in
-  with_stripe s (fun () ->
-      match Hashtbl.find_opt s.tbl key with
-      | Some seconds ->
-        s.s_hits <- s.s_hits + 1;
+  Striped.with_key t key (fun tbl ->
+      match Hashtbl.find_opt tbl key with
+      | Some _ as hit ->
         Obs.Counter.incr m_hits;
-        update_hit_rate ();
-        Some seconds
+        hit
       | None ->
-        s.s_misses <- s.s_misses + 1;
         Obs.Counter.incr m_misses;
-        update_hit_rate ();
         None)
 
 (* Refinement in one call: a recorded actual beats the model's estimate,
@@ -156,26 +103,11 @@ let refine t ?tag ?key block ~model_s =
   | Some seconds -> seconds
   | None -> model_s
 
-let size_unmerged t =
-  Array.fold_left
-    (fun acc s -> acc + with_stripe s (fun () -> Hashtbl.length s.tbl))
-    0 t.stripes
+let size t = Striped.fold t (fun acc tbl -> acc + Hashtbl.length tbl) 0
 
 let record t ?tag ?key block seconds =
   let key = key_of ?tag ?key block in
-  let s = stripe_of t key in
-  with_stripe s (fun () -> Hashtbl.replace s.tbl key seconds);
+  Striped.with_key t key (fun tbl -> Hashtbl.replace tbl key seconds);
   (* The size gauge sweeps every stripe; set it outside any stripe lock so
      a record never holds two locks at once. *)
-  if !Obs.Control.on then
-    Obs.Gauge.set m_size (float_of_int (size_unmerged t))
-
-let size = size_unmerged
-
-let hits t =
-  Array.fold_left (fun acc s -> acc + with_stripe s (fun () -> s.s_hits)) 0 t.stripes
-
-let misses t =
-  Array.fold_left
-    (fun acc s -> acc + with_stripe s (fun () -> s.s_misses))
-    0 t.stripes
+  if !Obs.Control.on then Obs.Gauge.set m_size (float_of_int (size t))

@@ -14,21 +14,13 @@ module O = Qopt_optimizer
 
 type t
 
-val create : ?shared:bool -> ?stripes:int -> unit -> t
+val create : ?shared:bool -> unit -> t
 (** [~shared:true] makes the cache safe to consult and update from
     multiple domains (e.g. under {!Qopt_par.Batch.run_batch} or the
-    compile server's worker domains).  A shared cache is {e striped}: the
-    key hash picks one of [stripes] (default 8, clamped to [1, 64])
-    independently locked tables, so concurrent domains only serialize when
-    they hash to the same stripe — [~stripes:1] recovers the old
-    single-shared-mutex design, which the contention bench uses as its
-    before measurement.  Stripe locks are contention-audited
-    {!Qopt_obs.Lock}s under the [lock.stmt_cache.*] family.  Defaults to
-    [false]: the unshared cache is one stripe with zero locking
-    overhead. *)
-
-val stripes : t -> int
-(** Number of stripes (1 for an unshared cache). *)
+    compile server's worker domains): the key hash picks one of 8
+    {!Striped} tables, each locked under the [lock.stmt_cache.*] family,
+    so concurrent domains only serialize when they hash to the same
+    stripe.  Defaults to [false]: one table with zero locking overhead. *)
 
 val signature : O.Query_block.t -> string
 (** Structural signature covering the block and its children: sorted base
@@ -61,12 +53,9 @@ val refine :
 (** [refine t block ~model_s]: the recorded actual for a structurally
     identical query when one exists, [model_s] otherwise — the
     estimate-refinement rule shared by the compile server's admission
-    path and the fleet router's routing estimate.  Counts as a lookup
-    for hit/miss accounting. *)
+    path and the fleet router's routing estimate.  Counts as a lookup. *)
 
 val size : t -> int
-
-val hits : t -> int
-(** Number of successful lookups so far. *)
-
-val misses : t -> int
+(** Entries across all stripes.  Lookups count into the process-wide
+    [stmt_cache.hits] and [stmt_cache.misses] counters of
+    {!Qopt_obs.Registry.default}. *)

@@ -25,8 +25,7 @@ let add t n =
     t.values.(i) <- t.values.(i) + n
   end
 
-(* Read on hot paths too (hit-rate gauges), so only the slots in use are
-   visited: one cache line each. *)
+(* Only the slots in use are visited: one cache line each. *)
 let value t =
   let v = ref 0 in
   for s = 0 to Shard.in_use () - 1 do

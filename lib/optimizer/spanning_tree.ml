@@ -160,7 +160,8 @@ let attempt env params cc block edges joins =
       end)
     edges;
   (* A disconnected join graph leaves several components; finish with
-     Cartesian merges by smallest estimated result, as Greedy does. *)
+     Cartesian merges, smallest cardinality product first (Greedy's rule
+     once it has no connected pair left). *)
   let rec collapse = function
     | [] -> None
     | [ only ] -> Some only

@@ -33,4 +33,5 @@ val optimize : ?seed:int -> ?restarts:int -> Env.t -> Query_block.t -> result
     restart perturbations; [restarts] (default 0) adds that many perturbed
     attempts after the unperturbed MST attempt.  Deterministic for a given
     [(seed, restarts)] pair.  Disconnected graphs are completed with
-    Cartesian merges by smallest estimated result, as {!Greedy} does. *)
+    Cartesian merges, smallest product of component cardinalities first
+    — the rule {!Greedy} falls back to once no connected pair is left. *)

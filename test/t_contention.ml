@@ -59,11 +59,11 @@ type stress = {
    plan-cache probe-or-store, against caches shared by all domains.  The
    plan-cache payload is the block index, so a hit can verify it was
    served the entry stored under its own key. *)
-let stress ~domains ~stripes ~total () =
+let stress ~domains ~total () =
   let blocks, plans, keys = Lazy.force material in
   let nb = Array.length blocks in
-  let cache = Cote.Stmt_cache.create ~shared:true ~stripes () in
-  let pcache = Cote.Plan_cache.create ~shared:true ~stripes () in
+  let cache = Cote.Stmt_cache.create ~shared:true () in
+  let pcache = Cote.Plan_cache.create ~shared:true () in
   let outcomes =
     P.Pool.map_indexed ~domains total (fun i ->
         let j = i mod nb in
@@ -111,22 +111,32 @@ let stress ~domains ~stripes ~total () =
   in
   (cache, pcache, tally)
 
-let check_accounting ~domains ~stripes () =
+(* Registry readings of the caches' process-wide counters; the tests
+   that compare them run with collection on and take deltas. *)
+let counter = Obs.Registry.counter_value Obs.Registry.default
+
+let lookups () =
+  ( counter "stmt_cache.hits" + counter "stmt_cache.misses",
+    counter "plan_cache.hits" + counter "plan_cache.misses"
+    + counter "plan_cache.invalidations" )
+
+let check_accounting ~domains () =
   let total = 2_000 in
   let blocks, plans, keys = Lazy.force material in
   let nb = Array.length blocks in
-  let cache, pcache, y = stress ~domains ~stripes ~total () in
+  let s0, p0 = lookups () in
+  let cache, pcache, y =
+    Obs.Control.with_enabled true (fun () -> stress ~domains ~total ())
+  in
+  let s1, p1 = lookups () in
   (* Exact accounting: every lookup landed in exactly one bucket, both as
-     seen by the callers and as tallied inside the cache. *)
+     seen by the callers and as counted by the caches. *)
   Alcotest.(check int) "stmt hits+misses = lookups" total (y.stmt_hit + y.stmt_miss);
-  Alcotest.(check int) "stmt cache tallies agree" total
-    (Cote.Stmt_cache.hits cache + Cote.Stmt_cache.misses cache);
+  Alcotest.(check int) "stmt cache counters agree" total (s1 - s0);
   Alcotest.(check int)
     "plan hits+misses+invalidations = lookups" total
     (y.plan_hit + y.plan_miss + y.plan_inv + y.bad_plan);
-  Alcotest.(check int) "plan cache tallies agree" total
-    (Cote.Plan_cache.hits pcache + Cote.Plan_cache.misses pcache
-    + Cote.Plan_cache.invalidations pcache);
+  Alcotest.(check int) "plan cache counters agree" total (p1 - p0);
   (* Stable environment, no stats bumps: nothing may invalidate. *)
   Alcotest.(check int) "no invalidations" 0 y.plan_inv;
   (* Every served hit was the serial plan with the right payload. *)
@@ -151,61 +161,99 @@ let check_accounting ~domains ~stripes () =
   Alcotest.(check int) "plan cache holds every key" nb
     (Cote.Plan_cache.size pcache)
 
+(* The striping rule under both caches, over every capacity a config can
+   plausibly carry: exact capacity shares, the stripe-count rule, stable
+   key routing, and a fold that visits each stripe exactly once. *)
+type probe = { id : int; share : int; mutable visits : int }
+
+let striped_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"Striped: shares, stripe count, routing, fold"
+       ~count:300
+       QCheck2.Gen.(
+         triple (int_range 1 600) bool (list_size (int_range 0 20) (small_string ?gen:None)))
+       (fun (capacity, shared, keys) ->
+         let n = Cote.Striped.count ~shared ~capacity in
+         let shares = List.init n (Cote.Striped.share ~capacity ~count:n) in
+         let next = ref 0 in
+         let st =
+           Cote.Striped.create ~shared ~capacity "stmt_cache" (fun share ->
+               incr next;
+               { id = !next - 1; share; visits = 0 })
+         in
+         let visited =
+           Cote.Striped.fold st
+             (fun acc p ->
+               p.visits <- p.visits + 1;
+               (p.id, p.share) :: acc)
+             []
+         in
+         let route k = Cote.Striped.with_key st k (fun p -> p.id) in
+         n = (if shared then min 8 capacity else 1)
+         && List.fold_left ( + ) 0 shares = capacity
+         && List.for_all (fun c -> c >= 1) shares
+         && List.fold_left max 0 shares - List.fold_left min capacity shares <= 1
+         && List.rev visited = List.mapi (fun i c -> (i, c)) shares
+         && Cote.Striped.fold st (fun ok p -> ok && p.visits = 1) true
+         && List.for_all
+              (fun k -> route k = Hashtbl.hash k mod n && route k = route k)
+              keys))
+
 let suite =
   [
+    striped_property;
     t "4-domain striped stress: accounting, lost updates, plan identity"
-      (check_accounting ~domains:4 ~stripes:8);
-    t "4-domain single-stripe stress: same invariants on the old design"
-      (check_accounting ~domains:4 ~stripes:1);
+      (check_accounting ~domains:4);
     t "serial run through the striped cache is deterministic" (fun () ->
         (* At one domain the hit/miss split is exact: first touch of each
-           key misses, every revisit hits — stripe count must not matter. *)
+           key misses, every revisit hits. *)
         let total = 500 in
         let blocks, _, _ = Lazy.force material in
         let nb = Array.length blocks in
-        List.iter
-          (fun stripes ->
-            let _, _, y = stress ~domains:1 ~stripes ~total () in
-            Alcotest.(check int)
-              (Printf.sprintf "misses (stripes=%d)" stripes)
-              nb y.stmt_miss;
-            Alcotest.(check int)
-              (Printf.sprintf "hits (stripes=%d)" stripes)
-              (total - nb) y.stmt_hit;
-            Alcotest.(check int)
-              (Printf.sprintf "plan misses (stripes=%d)" stripes)
-              nb y.plan_miss)
-          [ 1; 8 ]);
+        let _, _, y = stress ~domains:1 ~total () in
+        Alcotest.(check int) "misses" nb y.stmt_miss;
+        Alcotest.(check int) "hits" (total - nb) y.stmt_hit;
+        Alcotest.(check int) "plan misses" nb y.plan_miss);
     t "concurrent stores never break the LRU capacity bound" (fun () ->
         let blocks, plans, _ = Lazy.force material in
-        let capacity = 8 in
         let total = 600 in
-        let pcache =
-          Cote.Plan_cache.create ~shared:true
-            ~config:{ Cote.Plan_cache.slack = 0.5; capacity }
-            ()
-        in
-        (* Distinct key per op: every lookup misses and every store lands
-           in a full stripe once warm, so eviction runs constantly under
-           four domains. *)
-        let (_ : unit array) =
-          P.Pool.map_indexed ~domains:4 total (fun i ->
-              let key = Printf.sprintf "k%d" i in
-              match Cote.Plan_cache.lookup pcache ~key blocks.(0) with
-              | Cote.Plan_cache.Hit _ -> ()
-              | Cote.Plan_cache.Miss | Cote.Plan_cache.Invalidated _ ->
-                Cote.Plan_cache.store pcache ~key blocks.(0) ~plan:plans.(0) ())
-        in
-        let size = Cote.Plan_cache.size pcache in
-        Alcotest.(check bool)
-          (Printf.sprintf "size %d <= capacity %d" size capacity)
-          true (size <= capacity);
-        (* Each stripe evicts exactly on overflow: stores - resident =
-           evictions, with no slack for double-frees or lost evictions. *)
-        Alcotest.(check int) "evictions reconcile exactly" (total - size)
-          (Cote.Plan_cache.evictions pcache);
-        Alcotest.(check int) "misses = distinct keys" total
-          (Cote.Plan_cache.misses pcache));
+        (* Capacity 8 fills all 8 stripes with one entry each; capacity 3
+           caps the cache at 3 stripes. *)
+        List.iter
+          (fun capacity ->
+            let pcache =
+              Cote.Plan_cache.create ~shared:true
+                ~config:{ Cote.Plan_cache.slack = 0.5; capacity }
+                ()
+            in
+            let e0 = counter "plan_cache.evictions"
+            and m0 = counter "plan_cache.misses" in
+            (* Distinct key per op: every lookup misses and every store
+               lands in a full stripe once warm, so eviction runs
+               constantly under four domains. *)
+            Obs.Control.with_enabled true (fun () ->
+                let (_ : unit array) =
+                  P.Pool.map_indexed ~domains:4 total (fun i ->
+                      let key = Printf.sprintf "k%d" i in
+                      match Cote.Plan_cache.lookup pcache ~key blocks.(0) with
+                      | Cote.Plan_cache.Hit _ -> ()
+                      | Cote.Plan_cache.Miss | Cote.Plan_cache.Invalidated _ ->
+                        Cote.Plan_cache.store pcache ~key blocks.(0)
+                          ~plan:plans.(0) ())
+                in
+                ());
+            let size = Cote.Plan_cache.size pcache in
+            Alcotest.(check bool)
+              (Printf.sprintf "size %d <= capacity %d" size capacity)
+              true (size <= capacity);
+            (* Each stripe evicts exactly on overflow: stores - resident =
+               evictions, with no slack for double-frees or lost
+               evictions. *)
+            Alcotest.(check int) "evictions reconcile exactly" (total - size)
+              (counter "plan_cache.evictions" - e0);
+            Alcotest.(check int) "misses = distinct keys" total
+              (counter "plan_cache.misses" - m0))
+          [ 8; 3 ]);
     t "lock audit reconciles with the traffic that produced it" (fun () ->
         let reg = Obs.Registry.default in
         let acq () = Obs.Registry.counter_value reg "lock.stmt_cache.acquisitions" in
@@ -215,7 +263,7 @@ let suite =
         let a0 = acq () and c0 = contended () and n0 = Obs.Histo.count wait in
         let s0 = Obs.Histo.sum wait in
         Obs.Control.with_enabled true (fun () ->
-            let _, _, y = stress ~domains:4 ~stripes:8 ~total () in
+            let _, _, y = stress ~domains:4 ~total () in
             ignore y);
         let da = acq () - a0 and dc = contended () - c0 in
         (* Every op acquires a stmt-cache stripe at least once (the
@@ -237,7 +285,7 @@ let suite =
         let acq () = Obs.Registry.counter_value reg "lock.stmt_cache.acquisitions" in
         let before = acq () in
         Obs.Control.with_enabled false (fun () ->
-            let _, _, y = stress ~domains:2 ~stripes:8 ~total:200 () in
+            let _, _, y = stress ~domains:2 ~total:200 () in
             Alcotest.(check int) "stress still correct" 200
               (y.stmt_hit + y.stmt_miss));
         Alcotest.(check int) "no acquisitions recorded" before (acq ()));

@@ -116,13 +116,16 @@ let mat_view_tests =
 let cache_tests =
   [
     t "miss then hit" (fun () ->
-        let cache = Cote.Stmt_cache.create () in
-        Alcotest.(check bool) "miss" true (Cote.Stmt_cache.lookup cache block = None);
-        Cote.Stmt_cache.record cache block 0.42;
-        Alcotest.(check bool) "hit" true
-          (Cote.Stmt_cache.lookup cache block = Some 0.42);
-        Alcotest.(check int) "hits" 1 (Cote.Stmt_cache.hits cache);
-        Alcotest.(check int) "misses" 1 (Cote.Stmt_cache.misses cache));
+        Qopt_obs.Control.with_enabled true (fun () ->
+            let v = Qopt_obs.Registry.counter_value Qopt_obs.Registry.default in
+            let h0 = v "stmt_cache.hits" and m0 = v "stmt_cache.misses" in
+            let cache = Cote.Stmt_cache.create () in
+            Alcotest.(check bool) "miss" true (Cote.Stmt_cache.lookup cache block = None);
+            Cote.Stmt_cache.record cache block 0.42;
+            Alcotest.(check bool) "hit" true
+              (Cote.Stmt_cache.lookup cache block = Some 0.42);
+            Alcotest.(check int) "hits" 1 (v "stmt_cache.hits" - h0);
+            Alcotest.(check int) "misses" 1 (v "stmt_cache.misses" - m0)));
     t "signatures abstract literal values" (fun () ->
         let q v =
           O.Query_block.make ~name:"s"

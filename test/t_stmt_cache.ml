@@ -22,15 +22,18 @@ let sig_ne msg a b =
 let accounting_tests =
   [
     t "miss then record then hit" (fun () ->
-        let cache = SC.create () in
-        let q = Helpers.chain 3 in
-        Alcotest.(check (option (float 0.0))) "cold miss" None (SC.lookup cache q);
-        SC.record cache q 0.125;
-        Alcotest.(check (option (float 0.0)))
-          "hit returns the recorded time" (Some 0.125) (SC.lookup cache q);
-        Alcotest.(check int) "hits" 1 (SC.hits cache);
-        Alcotest.(check int) "misses" 1 (SC.misses cache);
-        Alcotest.(check int) "size" 1 (SC.size cache));
+        Obs.Control.with_enabled true (fun () ->
+            let v = Obs.Registry.counter_value Obs.Registry.default in
+            let h0 = v "stmt_cache.hits" and m0 = v "stmt_cache.misses" in
+            let cache = SC.create () in
+            let q = Helpers.chain 3 in
+            Alcotest.(check (option (float 0.0))) "cold miss" None (SC.lookup cache q);
+            SC.record cache q 0.125;
+            Alcotest.(check (option (float 0.0)))
+              "hit returns the recorded time" (Some 0.125) (SC.lookup cache q);
+            Alcotest.(check int) "hits" 1 (v "stmt_cache.hits" - h0);
+            Alcotest.(check int) "misses" 1 (v "stmt_cache.misses" - m0);
+            Alcotest.(check int) "size" 1 (SC.size cache)));
     t "re-recording replaces, not duplicates" (fun () ->
         let cache = SC.create () in
         let q = Helpers.chain 3 in
