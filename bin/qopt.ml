@@ -81,11 +81,13 @@ let wrap f = try `Ok (f ()) with Failure msg | Invalid_argument msg -> `Error (f
 (* The helper domains of a server with [workers] workers: every CPU the
    workers leave idle gets one, which generates DP plans beside them,
    level by level (Optimizer.optimize ~runner).  Their obs slots follow
-   the workers' (Server.run clamps workers the same way).  A helper keeps
-   a 512 KB minor heap instead of the runtime's 2 MB: it only ever runs
-   slices of a worker's compile, and on adhoc serving the smaller heap
-   cut the server's peak RSS by about 2 MB at unchanged qps.  None when no
-   CPU is left; the pool is closed when [f] returns. *)
+   the workers' (Server.run clamps workers the same way).  A helper is
+   spawned by the first batch that wants it and, under a server, retired
+   by its tick once idle (Qopt_par.Crew).  It keeps a 512 KB minor heap
+   instead of the runtime's 2 MB: it only ever runs slices of a worker's
+   compile, and on adhoc serving the smaller heap cut the server's peak
+   RSS by about 2 MB at unchanged qps.  None when no CPU is left; the pool
+   is closed when [f] returns. *)
 let with_helpers ~workers f =
   let workers = max 1 (min workers (Obs.Shard.max_slots - 1)) in
   let n =
@@ -510,7 +512,12 @@ let max_kept_plans_term =
 
 let serve_cmd =
   let workers_term =
-    Arg.(value & opt int 1 & info [ "workers" ] ~doc:"compile worker domains")
+    Arg.(
+      value & opt int 1
+      & info [ "workers" ]
+          ~doc:"most compile worker domains alive at once: each is spawned \
+                when a compile is queued and none is free, and retired \
+                after an idle spell")
   in
   let mode_term =
     Arg.(

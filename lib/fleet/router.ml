@@ -457,4 +457,5 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
           Thread.join heal;
           (* Backends drain before client connections: their running
              compiles finish and reply, and pending router rpcs resolve. *)
-          Array.iter Backend.shutdown t.backends))
+          Array.iter Backend.shutdown t.backends)
+        ())

@@ -1,13 +1,14 @@
 module Obs = Qopt_obs
 
 (* One pool implementation serves two lifetimes.  A persistent pool ([t])
-   spawns its helper domains once; they block on a condition variable
-   while idle and join each batch a caller submits.  [map_indexed] is a
-   pool that lives for one batch.  Within a batch, task indices are seeded
-   round-robin into one work-stealing deque per participant, and a
-   participant steals from the others once its own deque drains.  Tasks
-   never enqueue new tasks, so a participant leaves the batch as soon as a
-   full sweep over every other deque reports Empty. *)
+   keeps its helpers in a {!Crew}: a posted batch wakes the sleeping ones
+   and spawns the retired ones, and the owner's tick retires them after an
+   idle spell.  [map_indexed] is a pool that lives for one batch.  Within
+   a batch, task indices are seeded round-robin into one work-stealing
+   deque per participant, and a participant steals from the others once
+   its own deque drains.  Tasks never enqueue new tasks, so a participant
+   leaves the batch as soon as a full sweep over every other deque reports
+   Empty. *)
 
 let max_domains = Obs.Shard.max_slots
 
@@ -66,99 +67,84 @@ let run_worker ~deques ~domains ~w ~run =
   loop ()
 
 (* One submitted batch: the seeded deques, the task runner, and how many
-   helpers are inside it (under the pool's mutex). *)
+   helpers are inside it (under the pool's lock). *)
 type batch = {
   deques : int Deque.t array;
   run_task : int -> unit;
   mutable joined : int;
 }
 
-type t = {
-  helpers : int;
+(* The batch state, under [m], which is also the crew's lock: helpers
+   poll [posted] under it. *)
+type state = {
   m : Mutex.t;
-  wake : Condition.t;  (* helpers: a batch was posted, or the pool closed *)
   left : Condition.t;  (* submitter: the last joined helper left *)
   mutable posted : batch option;  (* open for helpers to join *)
   mutable epoch : int;  (* bumped per batch: a helper joins each at most once *)
+  seen : int array;  (* per helper: the last epoch it polled *)
   mutable busy : bool;  (* a submitter holds the helpers *)
-  mutable closed : bool;
-  mutable domains : unit Domain.t array;
+}
+
+type t = {
+  helpers : int;
+  st : state;
+  crew : batch Crew.t;
 }
 
 let helpers t = t.helpers
 
+let live t = Crew.live t.crew
+
+let retire_idle t = Crew.retire_idle t.crew
+
 (* Helper [k] (1-based) is participant [k] of every batch wide enough to
-   have one, and records metrics on shard slot [first_slot + k - 1]. *)
-let helper_main t ~slot ~minor_heap_words k () =
+   have one. *)
+let poll st k =
+  match st.posted with
+  | Some b when st.seen.(k) <> st.epoch ->
+    st.seen.(k) <- st.epoch;
+    if k < Array.length b.deques then begin
+      b.joined <- b.joined + 1;
+      Some b
+    end
+    else None
+  | _ -> None
+
+let work st k b =
   Domain.DLS.set in_worker true;
-  Obs.Shard.set_slot slot;
-  Option.iter
-    (fun words -> Gc.set { (Gc.get ()) with Gc.minor_heap_size = words })
-    minor_heap_words;
-  let rec loop seen =
-    Mutex.lock t.m;
-    while (not t.closed) && (t.posted = None || t.epoch = seen) do
-      Condition.wait t.wake t.m
-    done;
-    match t.posted with
-    | _ when t.closed -> Mutex.unlock t.m
-    | None -> assert false
-    | Some b ->
-      let epoch = t.epoch in
-      let domains = Array.length b.deques in
-      if k < domains then b.joined <- b.joined + 1;
-      Mutex.unlock t.m;
-      if k < domains then begin
-        run_worker ~deques:b.deques ~domains ~w:k ~run:b.run_task;
-        Mutex.lock t.m;
-        b.joined <- b.joined - 1;
-        if b.joined = 0 then Condition.broadcast t.left;
-        Mutex.unlock t.m
-      end;
-      loop epoch
-  in
-  loop 0
+  run_worker ~deques:b.deques ~domains:(Array.length b.deques) ~w:k ~run:b.run_task;
+  Mutex.protect st.m (fun () ->
+      b.joined <- b.joined - 1;
+      if b.joined = 0 then Condition.broadcast st.left)
 
 let create ?minor_heap_words ~helpers ~first_slot () =
-  if helpers < 0 || (helpers > 0 && (first_slot < 1 || first_slot + helpers > max_domains))
-  then
-    invalid_arg
-      (Printf.sprintf "Qopt_par.Pool.create: %d helpers from slot %d exceed [1, %d)"
-         helpers first_slot max_domains);
-  let t =
+  let st =
     {
-      helpers;
       m = Mutex.create ();
-      wake = Condition.create ();
       left = Condition.create ();
       posted = None;
       epoch = 0;
+      seen = Array.make (max 0 helpers + 1) 0;
       busy = false;
-      closed = false;
-      domains = [||];
     }
   in
-  t.domains <-
-    Array.init helpers (fun i ->
-        Domain.spawn (helper_main t ~slot:(first_slot + i) ~minor_heap_words (i + 1)));
-  t
+  {
+    helpers;
+    st;
+    crew =
+      Crew.create ?minor_heap_words ~lock:st.m ~cap:helpers ~first_slot ~poll:(poll st)
+        ~work:(work st) ();
+  }
 
-let close t =
-  Mutex.lock t.m;
-  let first = not t.closed in
-  t.closed <- true;
-  Condition.broadcast t.wake;
-  Mutex.unlock t.m;
-  if first then Array.iter Domain.join t.domains
+let close t = Crew.close t.crew
 
 (* Claim the helpers for one batch; a caller that finds them held by
    another submitter runs its batch alone instead of waiting. *)
-let acquire t =
-  Mutex.lock t.m;
-  let ok = (not t.busy) && not t.closed in
-  if ok then t.busy <- true;
-  Mutex.unlock t.m;
-  ok
+let acquire st =
+  Mutex.protect st.m (fun () ->
+      let ok = not st.busy in
+      if ok then st.busy <- true;
+      ok)
 
 type cell =
   | Pending
@@ -167,7 +153,7 @@ type cell =
 
 let run t n f =
   if n <= 0 then ()
-  else if n = 1 || t.helpers = 0 || Domain.DLS.get in_worker || not (acquire t)
+  else if n = 1 || t.helpers = 0 || Domain.DLS.get in_worker || not (acquire t.st)
   then
     for i = 0 to n - 1 do
       f i
@@ -190,23 +176,24 @@ let run t n f =
          with e -> Exn (e, Printexc.get_raw_backtrace ()))
     in
     let b = { deques; run_task; joined = 0 } in
-    Mutex.lock t.m;
-    t.posted <- Some b;
-    t.epoch <- t.epoch + 1;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.m;
+    let st = t.st in
+    Mutex.protect st.m (fun () ->
+        st.posted <- Some b;
+        st.epoch <- st.epoch + 1);
+    (* Wakes the sleeping helpers and spawns the retired ones; a helper
+       that starts late finds its deque already stolen from. *)
+    Crew.demand t.crew (domains - 1);
     Domain.DLS.set in_worker true;
     Fun.protect
       ~finally:(fun () ->
         (* The barrier: close the batch to late helpers, then wait for the
            ones inside it to finish their last task. *)
-        Mutex.lock t.m;
-        t.posted <- None;
-        while b.joined > 0 do
-          Condition.wait t.left t.m
-        done;
-        t.busy <- false;
-        Mutex.unlock t.m;
+        Mutex.protect st.m (fun () ->
+            st.posted <- None;
+            while b.joined > 0 do
+              Condition.wait st.left st.m
+            done;
+            st.busy <- false);
         Domain.DLS.set in_worker false)
       (fun () -> run_worker ~deques ~domains ~w:0 ~run:run_task);
     Array.iter

@@ -154,7 +154,7 @@ let conn_loop conn ic handle =
   | Wire.Framing_error msg -> send conn (Proto.R_error { id = 0; message = msg })
   | Sys_error _ | Unix.Unix_error _ | End_of_file -> ()
 
-let serve ~listen:addr ~on_ready ~shutting ~handle ~on_error ~drain =
+let serve ?(tick = ignore) ~listen:addr ~on_ready ~shutting ~handle ~on_error ~drain () =
   let listen_fd =
     try listen addr
     with e ->
@@ -198,6 +198,7 @@ let serve ~listen:addr ~on_ready ~shutting ~handle ~on_error ~drain =
         | fd, _ -> start fd
         | exception Unix.Unix_error _ -> ())
       | exception Unix.Unix_error _ -> ());
+      tick ();
       accept_loop ()
     end
   in

@@ -37,16 +37,20 @@ val spawn : conn -> id:int -> (unit -> unit) -> unit
     closed before every [f] spawned on it has returned. *)
 
 val serve :
+  ?tick:(unit -> unit) ->
   listen:addr ->
   on_ready:(unit -> unit) ->
   shutting:(unit -> bool) ->
   handle:(conn -> Proto.request -> unit) ->
   on_error:(unit -> unit) ->
   drain:(unit -> unit) ->
+  unit ->
   unit
 (** Listen (backlog 64; a stale Unix socket file is unlinked first, TCP
     sets [SO_REUSEADDR]), call [on_ready], then accept until
-    [shutting ()].
+    [shutting ()].  [tick ()] runs on the accept loop after every poll, so
+    at least every 50 ms (default: nothing); the server retires its idle
+    compile domains from it.
 
     A front-end failure raised by [handle] is counted by [on_error ()]
     and answered with an [error] reply carrying the request's id.  The

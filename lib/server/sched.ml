@@ -105,6 +105,9 @@ let pop t =
       done;
       if t.size = 0 then None else Some (pop_locked t))
 
+let try_pop t =
+  Obs.Lock.with_lock t.lock (fun () -> if t.size = 0 then None else Some (pop_locked t))
+
 let drain t =
   Obs.Lock.with_lock t.lock (fun () ->
       let rec go acc = if t.size = 0 then List.rev acc else go (pop_locked t :: acc) in

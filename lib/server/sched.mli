@@ -37,6 +37,11 @@ val pop : 'a t -> 'a option
     delivered (drain them with {!drain} first for cancel-on-shutdown
     semantics). *)
 
+val try_pop : 'a t -> 'a option
+(** {!pop} without the wait: [None] when nothing is queued.  The server's
+    workers poll with it ({!Qopt_par.Crew}) and sleep on their crew's
+    condition instead. *)
+
 val drain : 'a t -> 'a list
 (** Atomically removes and returns everything queued, in pop order. *)
 

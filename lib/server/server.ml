@@ -136,6 +136,10 @@ type cached_meta = {
   pm_regime : string;
 }
 
+(* A plan-cache entry's payload: the plan as its compile's reply rendered
+   it, so a hit sends the same bytes without rendering it again. *)
+type cached = { c_text : string; c_meta : cached_meta }
+
 (* Pure event tallies live in lock-free atomics: a stat bump from a
    connection thread or a worker domain never touches [t.lock], which
    guards only the coupled admission state (in_flight_s + the shutdown
@@ -146,7 +150,7 @@ type t = {
   cfg : config;
   sched : job Sched.t;
   cache : Cote.Stmt_cache.t;
-  pcache : cached_meta Cote.Plan_cache.t option;
+  pcache : cached Cote.Plan_cache.t option;
   recal : Cote.Recalibrate.t option;
   lock : Obs.Lock.t;
   mutable shutting : bool;
@@ -195,7 +199,7 @@ let current_model t =
   | None -> t.cfg.model
   | Some r -> Cote.Recalibrate.model r
 
-let stats_json t =
+let stats_json t ~workers =
   let s = snapshot t in
   J.Obj
     ([
@@ -217,6 +221,12 @@ let stats_json t =
       ("mode", J.Str (Sched.mode_string (Sched.mode t.sched)));
       ( "helpers",
         J.int (match t.cfg.helpers with None -> 0 | Some p -> Qopt_par.Pool.helpers p) );
+      ( "live_domains",
+        J.int
+          (Qopt_par.Crew.live workers
+          + match t.cfg.helpers with None -> 0 | Some p -> Qopt_par.Pool.live p) );
+      ("domains_spawned", J.int (Obs.Counter.value Qopt_par.Crew.spawned));
+      ("domains_retired", J.int (Obs.Counter.value Qopt_par.Crew.retired));
       ("metrics", Obs.Registry.json_value Obs.Registry.default);
     ]
     @ Frontdoor.model_fields ~model:(current_model t) ~fit_s:t.cfg.model_fit_s)
@@ -285,12 +295,15 @@ let compile_reply id ~plan ~cost ~card meta ~elapsed_s ~predicted_s ~queue_s
       } )
 
 (* A finished compile, DP or fallback: release its reservation, record the
-   actual under [tag], store the plan, account and reply. *)
+   actual under [tag], store the plan with its rendering, account and
+   reply. *)
 let complete t job ~now ~tag ~elapsed_s best meta =
   release t job;
   Cote.Stmt_cache.record t.cache ~tag ~key:job.j_key job.j_block elapsed_s;
-  (match (t.pcache, best) with
-  | Some pc, Some plan -> Cote.Plan_cache.store pc ~key:job.j_key job.j_block ~plan meta
+  let text = Option.map (Format.asprintf "%a" O.Plan.pp_compact) best in
+  (match (t.pcache, best, text) with
+  | Some pc, Some plan, Some c_text ->
+    Cote.Plan_cache.store pc ~key:job.j_key job.j_block ~plan { c_text; c_meta = meta }
   | _ -> ());
   Obs.Counter.incr m_compiles;
   Obs.Histo.observe m_latency (Timer.monotonic_now () -. job.j_enqueued);
@@ -300,14 +313,11 @@ let complete t job ~now ~tag ~elapsed_s best meta =
     Obs.Histo.observe m_est_err
       (Float.abs (job.j_model_s -. elapsed_s) /. elapsed_s *. 100.0);
   Atomic.incr t.n_compiles;
-  let plan, cost, card =
-    match best with
-    | Some p ->
-      (Some (Format.asprintf "%a" O.Plan.pp_compact p), p.O.Plan.cost, p.O.Plan.card)
-    | None -> (None, 0.0, 0.0)
+  let cost, card =
+    match best with Some p -> (p.O.Plan.cost, p.O.Plan.card) | None -> (0.0, 0.0)
   in
   job.j_send
-    (compile_reply job.j_id ~plan ~cost ~card meta ~elapsed_s
+    (compile_reply job.j_id ~plan:text ~cost ~card meta ~elapsed_s
        ~predicted_s:job.j_predicted_s ~queue_s:(now -. job.j_enqueued)
        ~cache_hit:job.j_cache_hit ~plan_cached:false)
 
@@ -402,20 +412,6 @@ and run_dp t job ~now ~interrupt =
     | exception e -> job_error t job e)
   | exception e -> job_error t job e
 
-let worker_main t slot () =
-  (* Claim a distinct obs shard slot (the Qopt_par.Pool contract) so
-     compile metrics recorded here never race the connection threads on
-     slot 0 or the other workers. *)
-  Obs.Shard.set_slot slot;
-  let rec loop () =
-    match Sched.pop t.sched with
-    | None -> ()
-    | Some job ->
-      run_job t job;
-      loop ()
-  in
-  loop ()
-
 (* ------------------------------------------------------------------ *)
 (* Connection handling (threads on the main domain)                    *)
 (* ------------------------------------------------------------------ *)
@@ -442,8 +438,8 @@ let reject t conn req_id ~estimate_s ~in_flight_s reason =
 (* A plan-cache hit bypasses optimization entirely: no COTE pass, no
    worker, no statement-cache traffic.  Admission still runs — with a ~0
    estimate, so hits pass ceilings that reject cold compiles — and the
-   reply echoes the stored plan and counters verbatim. *)
-let serve_plan_hit t conn req_id ~arrival plan (meta : cached_meta) =
+   reply echoes the stored plan, its rendering and counters verbatim. *)
+let serve_plan_hit t conn req_id ~arrival plan cached =
   let decision =
     (* Sched.length is lock-free, so this critical section is just the
        shutdown flag, the in-flight float and the ceiling arithmetic.  A
@@ -473,9 +469,8 @@ let serve_plan_hit t conn req_id ~arrival plan (meta : cached_meta) =
        predicted seconds"; the statement cache is never consulted on this
        path, so report false — [c_plan_cached] is the hit signal. *)
     Frontdoor.send conn
-      (compile_reply req_id
-         ~plan:(Some (Format.asprintf "%a" O.Plan.pp_compact plan))
-         ~cost:plan.O.Plan.cost ~card:plan.O.Plan.card meta ~elapsed_s:0.0
+      (compile_reply req_id ~plan:(Some cached.c_text) ~cost:plan.O.Plan.cost
+         ~card:plan.O.Plan.card cached.c_meta ~elapsed_s:0.0
          ~predicted_s:0.0 ~queue_s:0.0 ~cache_hit:false ~plan_cached:true)
 
 (* The greedy regime's prediction needs nothing but the join graph: both
@@ -491,7 +486,7 @@ let greedy_predicted t block =
   Cote.Greedy_model.predict t.cfg.greedy_model ~quantifiers:!quantifiers
     ~edges:!edges ~restarts:t.cfg.greedy_restarts
 
-let compile_cold t conn req_id ~arrival ~key ~estimate_hint_s block
+let compile_cold t ~workers conn req_id ~arrival ~key ~estimate_hint_s block
     deadline_ms =
   let deadline_s =
     match deadline_ms with
@@ -593,18 +588,20 @@ let compile_cold t conn req_id ~arrival ~key ~estimate_hint_s block
         j_send = Frontdoor.send conn;
       }
     in
-    if Sched.push t.sched ~priority:job.j_predicted_s job then
-      Obs.Gauge.set m_queue_depth (float_of_int (Sched.length t.sched))
+    if Sched.push t.sched ~priority:job.j_predicted_s job then begin
+      Obs.Gauge.set m_queue_depth (float_of_int (Sched.length t.sched));
+      Qopt_par.Crew.demand workers 1
+    end
     else
       (* The scheduler closed between the admission decision and the push:
          shutdown won the race, so account and answer like a rejection. *)
       cancel_job t job "shutdown"
 
-let handle_compile t conn ~id ~sql ~schema ~deadline_ms ~estimate_hint_s =
+let handle_compile t ~workers conn ~id ~sql ~schema ~deadline_ms ~estimate_hint_s =
   let arrival = Timer.monotonic_now () in
   let p = Frontdoor.prepare ~who:"server" t.cfg.schemas ~id ~sql ~schema in
   let cold () =
-    compile_cold t conn id ~arrival ~key:p.Frontdoor.p_key ~estimate_hint_s
+    compile_cold t ~workers conn id ~arrival ~key:p.Frontdoor.p_key ~estimate_hint_s
       p.Frontdoor.p_block deadline_ms
   in
   match t.pcache with
@@ -625,8 +622,8 @@ let initiate_shutdown t =
         end)
   in
   if first then begin
-    (* Cancel everything still queued, then close: workers finish their
-       running compile, see the closed empty queue, and exit. *)
+    (* Cancel everything still queued, then close: no push lands after
+       this, and the drain in [run] closes the workers. *)
     let leftovers = Sched.drain t.sched in
     Sched.close t.sched;
     List.iter (fun job -> cancel_job t job "shutdown") leftovers
@@ -634,7 +631,7 @@ let initiate_shutdown t =
 
 (* Front-end failures raised here become [error] replies in
    {!Frontdoor.serve}, counted by [run]'s [on_error]. *)
-let handle t conn req =
+let handle t ~workers conn req =
   Atomic.incr t.n_requests;
   Obs.Counter.incr m_requests;
   match req with
@@ -645,8 +642,8 @@ let handle t conn req =
     Atomic.incr t.n_estimates;
     Frontdoor.send conn (Frontdoor.estimate_reply id ev)
   | Proto.Compile { id; sql; schema; deadline_ms; estimate_hint_s } ->
-    handle_compile t conn ~id ~sql ~schema ~deadline_ms ~estimate_hint_s
-  | Proto.Stats { id } -> Frontdoor.send conn (Proto.R_stats (id, stats_json t))
+    handle_compile t ~workers conn ~id ~sql ~schema ~deadline_ms ~estimate_hint_s
+  | Proto.Stats { id } -> Frontdoor.send conn (Proto.R_stats (id, stats_json t ~workers))
   | Proto.Shutdown { id } ->
     Frontdoor.send conn (Proto.R_ok id);
     initiate_shutdown t
@@ -683,22 +680,35 @@ let run ?(on_ready = fun () -> ()) cfg =
       n_regime_fallbacks = Atomic.make 0;
     }
   in
+  (* Worker [k] claims obs shard slot [k], so compile metrics recorded on
+     it never race the connection threads on slot 0 or the other workers;
+     the helpers' slots follow. *)
+  let workers =
+    Qopt_par.Crew.create ~cap:workers ~first_slot:1
+      ~poll:(fun _ -> Sched.try_pop t.sched)
+      ~work:(fun _ job -> run_job t job)
+      ()
+  in
   let obs_was = !Obs.Control.on in
   Obs.Control.set_enabled true;
-  let domains =
-    Array.init workers (fun i -> Domain.spawn (worker_main t (i + 1)))
-  in
   Fun.protect
     ~finally:(fun () -> Obs.Control.set_enabled obs_was)
     (fun () ->
       Frontdoor.serve ~listen:cfg.listen ~on_ready
         ~shutting:(fun () -> Obs.Lock.with_lock t.lock (fun () -> t.shutting))
-        ~handle:(fun conn req -> handle t conn req)
+        ~handle:(fun conn req -> handle t ~workers conn req)
         ~on_error:(fun () ->
           Atomic.incr t.n_errors;
           Obs.Counter.incr m_errors)
+        ~tick:(fun () ->
+          Qopt_par.Crew.retire_idle workers;
+          Option.iter Qopt_par.Pool.retire_idle cfg.helpers)
         ~drain:(fun () ->
           (* The queue is already drained and closed (shutdown) — or must
-             be closed now if serve is unwinding on an exception. *)
+             be closed now if serve is unwinding on an exception.  A job
+             pushed between that drain and the close finds no worker once
+             the workers are closed: cancel it too. *)
           initiate_shutdown t;
-          Array.iter Domain.join domains))
+          Qopt_par.Crew.close workers;
+          List.iter (fun job -> cancel_job t job "shutdown") (Sched.drain t.sched))
+        ())

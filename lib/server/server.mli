@@ -19,10 +19,12 @@
     replies, schema resolution, parse/bind/template key, the COTE pass and
     the [error] replies for bad input — is {!Frontdoor}'s; this module is
     the policy behind it.  Connection threads run admission inline and
-    answer [estimate], [stats] and plan-cache hits themselves; [workers]
-    spawned domains execute compiles.  Worker domains claim distinct
-    {!Qopt_obs.Shard} slots so [server.*] and optimizer metrics shard
-    cleanly.  A statement cache ({!Cote.Stmt_cache} [~shared:true]) is
+    answer [estimate], [stats] and plan-cache hits themselves; worker
+    domains execute compiles.  Workers and helpers are spawned when work
+    arrives and retired after an idle spell ({!Qopt_par.Crew}), so a
+    server answering only plan-cache hits runs no compile domain at all.
+    Worker domains claim distinct {!Qopt_obs.Shard} slots so [server.*]
+    and optimizer metrics shard cleanly.  A statement cache ({!Cote.Stmt_cache} [~shared:true]) is
     shared across all connections: recorded actual compile times refine
     the admission estimate for queries with the same
     template key ({!Frontdoor.prepared}). *)
@@ -39,7 +41,10 @@ type config = {
   model_fit_s : float;
       (** wall seconds the caller spent fitting [model] before starting
           the server, reported by [stats]; default 0 (no fit) *)
-  workers : int;  (** worker domains (clamped to obs shard slots - 1) *)
+  workers : int;
+      (** the most worker domains alive at once (clamped to obs shard
+          slots - 1); a worker is spawned when a compile is queued and
+          every live one is busy *)
   mode : Sched.mode;
   admission : Admission.policy;
   levels : Cote.Multi_level.level list;  (** most- to least-expensive *)
@@ -94,9 +99,9 @@ type config = {
           level by level beside the worker ({!O.Optimizer.optimize}
           [~runner]); replies are bit-identical to a serial compile and
           [elapsed_s] is wall clock.  The pool's slots must follow the
-          workers' ([1..workers]); the caller owns and closes it.  [stats]
-          reports its size as [helpers].  Default [None]: serial
-          compiles. *)
+          workers' ([1..workers]); the caller owns and closes it, and the
+          server's tick retires its idle helpers.  [stats] reports its
+          size as [helpers].  Default [None]: serial compiles. *)
 }
 
 val default_config :
@@ -133,7 +138,10 @@ val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Serves ({!Frontdoor.serve}) until a [shutdown] request arrives, then
     drains: queued jobs are cancelled (reason ["shutdown"]), the running
     compile finishes, workers and connection threads are joined, and the
-    socket is closed (a Unix socket file is unlinked).  [on_ready] fires
+    socket is closed (a Unix socket file is unlinked).  While serving,
+    the accept loop's tick retires idle workers and helpers.  [stats]
+    reports [live_domains] (workers and helpers alive now) and the
+    process's [domains_spawned] and [domains_retired].  [on_ready] fires
     once the socket is listening — tests and in-process harnesses connect
     from it.  Metrics collection ({!Qopt_obs.Control}) is forced on for
     the server's lifetime and restored on exit.  Raises [Unix.Unix_error]

@@ -277,4 +277,191 @@ let batch_tests =
           && Cote.Stmt_cache.size cache > 0));
   ]
 
-let suite = deque_tests @ pool_tests @ batch_tests
+(* ------------------------------------------------------------------ *)
+(* On-demand helpers: spawn, retire, respawn                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A reusable barrier for [parties] threads or domains. *)
+let barrier parties =
+  let m = Mutex.create () and c = Condition.create () in
+  let arrived = ref 0 and round = ref 0 in
+  fun () ->
+    Mutex.protect m (fun () ->
+        let r = !round in
+        incr arrived;
+        if !arrived = parties then begin
+          arrived := 0;
+          incr round;
+          Condition.broadcast c
+        end
+        else
+          while !round = r do
+            Condition.wait c m
+          done)
+
+(* The pause before round [r] of participant [p], taken by every
+   participant at once (after a barrier): none before round 0; before
+   round 1 well past the idle spell, so the domains retire and the round
+   respawns them; before later rounds the spell plus 0-4 ms, so the first
+   posts race a 2 ms tick's retirement. *)
+let gap ~round ~p =
+  if round = 0 then 0.0
+  else if round = 1 then P.Crew.idle_spell_s +. 0.05
+  else P.Crew.idle_spell_s +. (0.002 *. float_of_int p)
+
+(* A tick far faster than a server's, counting the calls that left fewer
+   domains live than they found. *)
+let fast_ticker ~live ~retire_idle =
+  let stop = Atomic.make false and retirements = ref 0 in
+  let th =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          let before = live () in
+          retire_idle ();
+          if live () < before then incr retirements;
+          Thread.delay 0.002
+        done)
+      ()
+  in
+  fun () ->
+    Atomic.set stop true;
+    Thread.join th;
+    !retirements
+
+(* Past the idle spell, then one tick: every sleeping helper retires. *)
+let retire_all pool =
+  Thread.delay (P.Crew.idle_spell_s +. 0.05);
+  P.Pool.retire_idle pool
+
+let lifecycle_tests =
+  [
+    t "a pool whose helpers retired answers run bit for bit" (fun () ->
+        let pool = P.Pool.create ~helpers:2 ~first_slot:1 () in
+        Fun.protect
+          ~finally:(fun () -> P.Pool.close pool)
+          (fun () ->
+            Alcotest.(check int) "no helper before the first batch" 0 (P.Pool.live pool);
+            let blocks =
+              List.map (fun (q : W.Workload.query) -> q.W.Workload.block)
+                (W.Tpch.all ~partitioned:false).W.Workload.queries
+            in
+            let compile_all () =
+              List.map
+                (fun b -> T_parallel_gen.outcome O.Env.serial ~runner:(P.Pool.run pool) b)
+                blocks
+            in
+            let serial = List.map (T_parallel_gen.outcome O.Env.serial) blocks in
+            let first = compile_all () in
+            Alcotest.(check bool) "helpers spawned" true (P.Pool.live pool > 0);
+            retire_all pool;
+            Alcotest.(check int) "every helper retired" 0 (P.Pool.live pool);
+            let again = compile_all () in
+            Alcotest.(check bool) "helpers respawned" true (P.Pool.live pool > 0);
+            Alcotest.(check (list string)) "before retirement = serial" serial first;
+            Alcotest.(check (list string)) "after respawn = serial" serial again));
+    t "concurrent submitters across a retire and a respawn lose no task" (fun () ->
+        let pool = P.Pool.create ~helpers:2 ~first_slot:1 () in
+        let stop_ticker =
+          fast_ticker
+            ~live:(fun () -> P.Pool.live pool)
+            ~retire_idle:(fun () -> P.Pool.retire_idle pool)
+        in
+        let n = 64 and rounds = 4 and batches = 20 and submitters = 3 in
+        let sync = barrier submitters in
+        let submitter s () =
+          let lost = ref 0 in
+          for round = 0 to rounds - 1 do
+            sync ();
+            Thread.delay (gap ~round ~p:s);
+            for _ = 1 to batches do
+              let hits = Array.init n (fun _ -> Atomic.make 0) in
+              P.Pool.run pool n (fun i -> Atomic.incr hits.(i));
+              Array.iter (fun h -> if Atomic.get h <> 1 then incr lost) hits
+            done
+          done;
+          !lost
+        in
+        let subs = List.init submitters (fun s -> Domain.spawn (submitter s)) in
+        let lost = List.fold_left (fun acc d -> acc + Domain.join d) 0 subs in
+        let retirements = stop_ticker () in
+        P.Pool.close pool;
+        Alcotest.(check int) "every task ran exactly once" 0 lost;
+        Alcotest.(check bool) "the helpers retired between rounds" true (retirements > 0);
+        Alcotest.(check int) "close joined every helper" 0 (P.Pool.live pool));
+    t "a crew runs each demanded item once, within its cap, across retirements"
+      (fun () ->
+        let q = Queue.create () and ql = Mutex.create () in
+        let cap = 3 and producers = 3 and bursts = 4 and per_burst = 40 in
+        let n = producers * bursts * per_burst in
+        let ran = Array.init n (fun _ -> Atomic.make 0) in
+        let running = Atomic.make 0 and peak = Atomic.make 0 in
+        let crew =
+          P.Crew.create ~cap ~first_slot:1
+            ~poll:(fun _ -> Mutex.protect ql (fun () -> Queue.take_opt q))
+            ~work:(fun _ i ->
+              let r = 1 + Atomic.fetch_and_add running 1 in
+              let rec raise_peak () =
+                let p = Atomic.get peak in
+                if r > p && not (Atomic.compare_and_set peak p r) then raise_peak ()
+              in
+              raise_peak ();
+              Atomic.incr ran.(i);
+              Thread.yield ();
+              Atomic.decr running)
+            ()
+        in
+        let stop_ticker =
+          fast_ticker
+            ~live:(fun () -> P.Crew.live crew)
+            ~retire_idle:(fun () -> P.Crew.retire_idle crew)
+        in
+        let sync = barrier producers in
+        let producer p () =
+          for b = 0 to bursts - 1 do
+            sync ();
+            Thread.delay (gap ~round:b ~p);
+            for k = 0 to per_burst - 1 do
+              Mutex.protect ql (fun () ->
+                  Queue.push ((((p * bursts) + b) * per_burst) + k) q);
+              P.Crew.demand crew 1
+            done
+          done
+        in
+        let ps = List.init producers (fun p -> Thread.create (producer p) ()) in
+        List.iter Thread.join ps;
+        (* Every push demanded a domain, so a live one drains the queue. *)
+        let deadline = Unix.gettimeofday () +. 5.0 in
+        while
+          Mutex.protect ql (fun () -> not (Queue.is_empty q))
+          && Unix.gettimeofday () < deadline
+        do
+          Thread.delay 0.001
+        done;
+        let drained = Mutex.protect ql (fun () -> Queue.is_empty q) in
+        let retirements = stop_ticker () in
+        P.Crew.close crew;
+        Alcotest.(check bool) "the queue drained before close woke anyone" true drained;
+        Alcotest.(check (list int)) "every item ran exactly once" (List.init n (fun _ -> 1))
+          (Array.to_list (Array.map Atomic.get ran));
+        Alcotest.(check bool) "never more domains working than the cap" true
+          (Atomic.get peak <= cap);
+        Alcotest.(check bool) "domains retired between bursts" true (retirements > 0);
+        Alcotest.(check int) "close joined every domain" 0 (P.Crew.live crew));
+    t "close joins every domain, including when it races a spawn" (fun () ->
+        for _ = 1 to 20 do
+          let pool = P.Pool.create ~helpers:3 ~first_slot:1 () in
+          let sum = Atomic.make 0 in
+          let submitter =
+            Domain.spawn (fun () ->
+                P.Pool.run pool 100 (fun i -> ignore (Atomic.fetch_and_add sum i)))
+          in
+          P.Pool.close pool;
+          Alcotest.(check int) "closed pool has no live helper" 0 (P.Pool.live pool);
+          Domain.join submitter;
+          Alcotest.(check int) "the racing batch still ran whole" 4950 (Atomic.get sum);
+          Alcotest.(check int) "nothing spawned after close" 0 (P.Pool.live pool)
+        done);
+  ]
+
+let suite = deque_tests @ pool_tests @ batch_tests @ lifecycle_tests

@@ -1675,7 +1675,126 @@ let giant_regime_tests =
                 | _ -> Alcotest.fail "expected stats reply")));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Compile domains live only while there is work                       *)
+(* ------------------------------------------------------------------ *)
+
+let compile_req c sql =
+  Srv.Proto.Compile
+    { id = Srv.Client.fresh_id c; sql; schema = None; deadline_ms = None;
+      estimate_hint_s = None }
+
+let stats_doc c =
+  match request_exn c (Srv.Proto.Stats { id = Srv.Client.fresh_id c }) with
+  | Srv.Proto.R_stats (_, doc) -> doc
+  | _ -> Alcotest.fail "expected stats reply"
+
+let lifecycle_tests =
+  [
+    t "an idle server retires its compile domains and compiles the same after"
+      (fun () ->
+        let pool = Qopt_par.Pool.create ~helpers:1 ~first_slot:2 () in
+        Fun.protect
+          ~finally:(fun () -> Qopt_par.Pool.close pool)
+          (fun () ->
+            with_server
+              ~configure:(fun c -> { c with Srv.Server.helpers = Some pool })
+              (fun addr ->
+                let c = Srv.Client.connect addr in
+                Fun.protect
+                  ~finally:(fun () -> Srv.Client.close c)
+                  (fun () ->
+                    let doc0 = stats_doc c in
+                    Alcotest.(check int) "no domain before the first compile" 0
+                      (stat doc0 "live_domains");
+                    let spawned0 = stat doc0 "domains_spawned" in
+                    let retired0 = stat doc0 "domains_retired" in
+                    (* The reply with its id and the fields a second compile
+                       of the same SQL legitimately changes (timings, and the
+                       statement cache's refined estimate) zeroed. *)
+                    let compile () =
+                      match request_exn c (compile_req c big_sql) with
+                      | Srv.Proto.R_compile (_, b) ->
+                        J.to_string
+                          (Srv.Proto.reply_to_json
+                             (Srv.Proto.R_compile
+                                ( 0,
+                                  {
+                                    b with
+                                    Srv.Proto.c_elapsed_s = 0.0;
+                                    c_queue_s = 0.0;
+                                    c_predicted_s = 0.0;
+                                    c_cache_hit = false;
+                                  } )))
+                      | r ->
+                        Alcotest.failf "expected compile reply, got %s"
+                          (J.to_string (Srv.Proto.reply_to_json r))
+                    in
+                    let first = compile () in
+                    Alcotest.(check int) "the compile spawned worker and helper"
+                      (spawned0 + 2)
+                      (stat (stats_doc c) "domains_spawned");
+                    wait_for_stats c (fun doc -> stat doc "live_domains" = 0);
+                    Alcotest.(check int) "both retired" (retired0 + 2)
+                      (stat (stats_doc c) "domains_retired");
+                    let again = compile () in
+                    Alcotest.(check string) "same reply after respawn" first again;
+                    let doc = stats_doc c in
+                    Alcotest.(check int) "both respawned" (spawned0 + 4)
+                      (stat doc "domains_spawned");
+                    Alcotest.(check int) "helpers is the configured count" 1
+                      (stat doc "helpers")))));
+    t "a shutdown racing a compile's admission and worker spawn answers it once"
+      (fun () ->
+        let rng = Random.State.make [| 24 |] in
+        for round = 1 to 30 do
+          (* The compile and the shutdown leave within a millisecond of
+             each other, either first: the shutdown lands before the
+             compile's admission, between its admission and its push, or
+             while its push spawns the worker. *)
+          let compile_delay_s = Random.State.float rng 0.001 in
+          let delay_s = Random.State.float rng 0.001 in
+          with_server (fun addr ->
+              let a = Srv.Client.connect addr and b = Srv.Client.connect addr in
+              (* Both connections accepted before the race starts. *)
+              ignore (stats_doc a);
+              ignore (stats_doc b);
+              let req = compile_req a small_sql in
+              let id = Srv.Proto.request_id req in
+              let shutdown =
+                Thread.create
+                  (fun () ->
+                    Thread.delay delay_s;
+                    ignore
+                      (Srv.Client.request b
+                         (Srv.Proto.Shutdown { id = Srv.Client.fresh_id b })))
+                  ()
+              in
+              Thread.delay compile_delay_s;
+              Srv.Client.send a req;
+              let rec replies acc =
+                match Srv.Client.recv a with
+                | None -> List.rev acc
+                | Some r -> replies (r :: acc)
+              in
+              let got = replies [] in
+              Thread.join shutdown;
+              Srv.Client.close a;
+              Srv.Client.close b;
+              match got with
+              | [ (Srv.Proto.R_compile _ | Srv.Proto.R_cancelled _ | Srv.Proto.R_rejected _) as r ]
+                ->
+                Alcotest.(check int) "the request's id" id (Srv.Proto.reply_id r)
+              | _ ->
+                Alcotest.failf "round %d (%.4fs vs %.4fs): %d replies: %s" round
+                  compile_delay_s delay_s
+                  (List.length got)
+                  (String.concat "; "
+                     (List.map (fun r -> J.to_string (Srv.Proto.reply_to_json r)) got)))
+        done);
+  ]
+
 let suite =
   wire_tests @ proto_tests @ sched_tests @ admission_tests @ level_tests
   @ server_tests @ plan_cache_tests @ recalibrate_tests @ client_tests
-  @ giant_regime_tests
+  @ giant_regime_tests @ lifecycle_tests
