@@ -623,6 +623,80 @@ let recalib_queries =
      i.i_item_sk AND ss.ss_hdemo_sk = hd.hd_demo_sk AND d.d_year = %d";
   |]
 
+(* Bytes one plan-cache hit of the serving benchmark's repeat mix (the
+   four Loadgen smalls and the four join templates above) allocates
+   before its reply is written: frame decode (JSON parse, request),
+   [Frontdoor.prepare] through a warmed statement text map, and the plan
+   -cache lookup.  Reported, not gated; the header line also prints the
+   same path with every text parsed (no map), the cost the map removes.
+
+     hotpath/alloc-bytes-plan-hit — bytes allocated per hit *)
+let plan_hit_alloc_rows () =
+  let module Srv = Qopt_server in
+  let module J = Qopt_util.Json in
+  let schemas = [ ("warehouse", W.Warehouse.schema ~partitioned:false) ] in
+  let templates =
+    List.init 4 (fun i ->
+        (List.nth (Srv.Loadgen.warehouse_mix ~smalls:4 ~bigs:0) i, None))
+    @ List.map (fun tpl -> (tpl, Some 1990)) (Array.to_list recalib_queries)
+  in
+  let sql i =
+    let k = i mod List.length templates in
+    match List.nth templates k with
+    | smalls_sql, None -> smalls_sql
+    | tpl, Some base ->
+      Printf.sprintf (Scanf.format_from_string tpl "%d") (base + (i / 8 mod 9))
+  in
+  let n = 64 in
+  let payloads =
+    Array.init n (fun i ->
+        J.to_string
+          (Srv.Proto.request_to_json
+             (Srv.Proto.Compile
+                {
+                  id = i;
+                  sql = sql i;
+                  schema = None;
+                  deadline_ms = None;
+                  estimate_hint_s = None;
+                })))
+  in
+  let pc = Cote.Plan_cache.create ~shared:true () in
+  let shapes = Srv.Frontdoor.shapes ~capacity:Cote.Plan_cache.default_config.capacity in
+  let hit ?shapes payload =
+    match Result.bind (J.parse payload) Srv.Proto.request_of_json with
+    | Ok (Srv.Proto.Compile { id; sql; schema; _ }) -> (
+      let p = Srv.Frontdoor.prepare ?shapes ~who:"bench" schemas ~id ~sql ~schema in
+      let key = p.Srv.Frontdoor.p_key and block = p.Srv.Frontdoor.p_block in
+      match Cote.Plan_cache.lookup pc ~key block with
+      | Cote.Plan_cache.Hit _ -> p
+      | Cote.Plan_cache.Miss | Cote.Plan_cache.Invalidated _ ->
+        (match (O.Optimizer.optimize serial block).O.Optimizer.best with
+        | Some plan -> Cote.Plan_cache.store pc ~key block ~plan ""
+        | None -> ());
+        p)
+    | _ -> failwith "plan_hit_alloc_rows: not a compile request"
+  in
+  (* Warm: every template compiled and stored, then every text admitted. *)
+  Array.iter (fun payload -> ignore (hit payload)) payloads;
+  Array.iter (fun payload -> Srv.Frontdoor.admit shapes (hit ~shapes payload)) payloads;
+  let per_hit ?shapes () =
+    let reps = 20 in
+    Gc.full_major ();
+    let a0 = Gc.allocated_bytes () in
+    for _ = 1 to reps do
+      Array.iter (fun payload -> ignore (hit ?shapes payload)) payloads
+    done;
+    (Gc.allocated_bytes () -. a0) /. float_of_int (reps * n)
+  in
+  let parsed = per_hit () in
+  let rows = [ ("hotpath/alloc-bytes-plan-hit", per_hit ~shapes ()) ] in
+  Format.printf
+    "=== Plan-cache hit allocation (repeat mix, %d texts; every text parsed: %.0f B) ===@."
+    n parsed;
+  List.iter (fun (name, v) -> Format.printf "%-36s %16.1f@." name v) rows;
+  rows
+
 let recalib_rows () =
   let module Srv = Qopt_server in
   (* Round-robin over structurally distinct join templates (2 to 5 tables)
@@ -963,6 +1037,8 @@ let () =
   let rows = report raw in
   Format.printf "@.";
   let rows = rows @ hotpath_alloc_rows () in
+  Format.printf "@.";
+  let rows = rows @ plan_hit_alloc_rows () in
   Format.printf "@.";
   let rows = rows @ parallel_gen_rows () in
   Format.printf "@.";

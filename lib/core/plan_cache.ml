@@ -115,20 +115,6 @@ let size t = Striped.fold t.strs (fun acc s -> acc + Hashtbl.length s.tbl) 0
    stripe lock so no operation ever holds two locks. *)
 let set_size t = if !Obs.Control.on then Obs.Gauge.set m_size (float_of_int (size t))
 
-let evict_lru s =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun k e ->
-      match !victim with
-      | Some (_, tick) when tick <= e.e_tick -> ()
-      | _ -> victim := Some (k, e.e_tick))
-    s.tbl;
-  match !victim with
-  | None -> ()
-  | Some (k, _) ->
-    Hashtbl.remove s.tbl k;
-    Obs.Counter.incr m_evictions
-
 let store t ?key block ~plan payload =
   let key = match key with Some k -> k | None -> Stmt_cache.signature block in
   (* Selectivity estimation is pure over the block and the (immutable)
@@ -140,8 +126,11 @@ let store t ?key block ~plan payload =
   in
   let deps = dep_tables block in
   Striped.with_key t.strs key (fun s ->
-      if (not (Hashtbl.mem s.tbl key)) && Hashtbl.length s.tbl >= s.cap then
-        evict_lru s;
+      if
+        (not (Hashtbl.mem s.tbl key))
+        && Hashtbl.length s.tbl >= s.cap
+        && Striped.evict_lru s.tbl (fun e -> e.e_tick)
+      then Obs.Counter.incr m_evictions;
       let e =
         {
           e_plan = plan;

@@ -30,3 +30,18 @@ let fold t f init =
     acc := locked t i (fun s -> f !acc s)
   done;
   !acc
+
+let evict_lru tbl tick =
+  let victim =
+    Hashtbl.fold
+      (fun k e acc ->
+        match acc with
+        | Some (_, t) when t <= tick e -> acc
+        | _ -> Some (k, tick e))
+      tbl None
+  in
+  match victim with
+  | None -> false
+  | Some (k, _) ->
+    Hashtbl.remove tbl k;
+    true

@@ -30,3 +30,8 @@ val with_key : 'a t -> 'k -> ('a -> 'b) -> 'b
 
 val fold : 'a t -> ('acc -> 'a -> 'acc) -> 'acc -> 'acc
 (** Visit every stripe in index order, each under its own lock. *)
+
+val evict_lru : ('k, 'e) Hashtbl.t -> ('e -> int) -> bool
+(** The eviction rule of a bounded stripe: remove the entry with the
+    smallest [tick] (its last touch on the stripe's LRU clock).  [false]
+    when the table is empty. *)

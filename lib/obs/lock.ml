@@ -44,8 +44,6 @@ let create name = { name; mutex = Mutex.create (); m = metrics_of name }
 
 let name t = t.name
 
-let mutex t = t.mutex
-
 (* The instrumented acquire: an uncontended try_lock records a zero wait
    (count still advances, so wait_s.count = acquisitions and wait_s.sum is
    the total seconds spent blocked); a contended one pays two clock reads
@@ -63,8 +61,6 @@ let lock t =
     end
   end
   else Mutex.lock t.mutex
-
-let unlock t = Mutex.unlock t.mutex
 
 let with_lock t f =
   if !Control.on then begin

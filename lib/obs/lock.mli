@@ -32,16 +32,6 @@ val create : string -> t
 
 val name : t -> string
 
-val mutex : t -> Mutex.t
-(** The underlying mutex — for [Condition.wait], which must re-acquire the
-    raw mutex itself (that re-acquire is not instrumented). *)
-
-val lock : t -> unit
-(** Instrumented acquire.  Pair with {!unlock}; prefer {!with_lock} unless
-    a condition variable forces explicit control. *)
-
-val unlock : t -> unit
-
 val with_lock : t -> (unit -> 'a) -> 'a
 (** Instrumented [Mutex.protect]: unlocks on normal return and on
     exceptions. *)

@@ -1,5 +1,7 @@
 module O = Qopt_optimizer
 module J = Qopt_util.Json
+module Obs = Qopt_obs
+module Sql = Qopt_sql
 
 type addr = [ `Unix of string | `Tcp of string * int ]
 
@@ -59,12 +61,9 @@ let dial addr =
 (* ------------------------------------------------------------------ *)
 
 let error_message = function
-  | Failure msg
-  | Qopt_sql.Parser.Error msg
-  | Qopt_sql.Binder.Error msg
-  | Invalid_argument msg ->
+  | Failure msg | Sql.Parser.Error msg | Sql.Binder.Error msg | Invalid_argument msg ->
     Some msg
-  | Qopt_sql.Lexer.Error (msg, at) -> Some (Printf.sprintf "%s (at byte %d)" msg at)
+  | Sql.Lexer.Error (msg, at) -> Some (Printf.sprintf "%s (at byte %d)" msg at)
   | O.Budget.Exceeded b -> Some (Format.asprintf "%a" O.Budget.pp_blown b)
   | _ -> None
 
@@ -87,12 +86,13 @@ type conn = {
   c_on_error : unit -> unit;
 }
 
-let send conn reply =
+let send_encoded conn payload =
   try
     Mutex.protect conn.c_wlock (fun () ->
-        if conn.c_open then
-          Wire.write conn.c_oc (J.to_string (Proto.reply_to_json reply)))
+        if conn.c_open then Wire.write conn.c_oc payload)
   with Sys_error _ | Unix.Unix_error _ -> ()
+
+let send conn reply = send_encoded conn (J.to_string (Proto.reply_to_json reply))
 
 let close conn =
   Mutex.protect conn.c_wlock (fun () ->
@@ -234,22 +234,127 @@ let resolve_schema ~who schemas name =
         (Printf.sprintf "unknown schema %S (known: %s)" n
            (String.concat ", " (List.map fst schemas))))
 
-let template_key schema_name ast = schema_name ^ "|" ^ Qopt_sql.Template.key_of ast
+(* ------------------------------------------------------------------ *)
+(* The statement text map                                              *)
+(* ------------------------------------------------------------------ *)
 
-type prepared = { p_schema : string; p_key : string; p_block : O.Query_block.t }
+let m_shape_hits = Obs.Registry.counter Obs.Registry.default "frontdoor.shape_hits"
+
+let m_shape_entries = Obs.Registry.gauge Obs.Registry.default "frontdoor.shape_entries"
+
+(* Keyed by (schema, masked text); the value is the statement's template
+   key and shape.  Neither depends on plan validity or statistics, so an
+   entry never goes stale: the map needs a bound, not invalidation. *)
+type shape_entry = {
+  s_key : string;
+  s_shape : Sql.Ast.select;
+  mutable s_tick : int;
+}
+
+type shape_stripe = {
+  tbl : (string * string, shape_entry) Hashtbl.t;
+  cap : int;
+  mutable tick : int;
+}
+
+type shapes = shape_stripe Cote.Striped.t
+
+let shapes ~capacity =
+  Cote.Striped.create ~shared:true ~capacity "frontdoor" (fun cap ->
+      { tbl = Hashtbl.create 16; cap; tick = 0 })
+
+let entries shapes = Cote.Striped.fold shapes (fun n st -> n + Hashtbl.length st.tbl) 0
+
+let touch st e =
+  st.tick <- st.tick + 1;
+  e.s_tick <- st.tick
+
+let find_shape shapes text =
+  Cote.Striped.with_key shapes text (fun st ->
+      match Hashtbl.find_opt st.tbl text with
+      | Some e ->
+        touch st e;
+        Some e
+      | None -> None)
+
+type ticket = {
+  t_text : string * string;
+  t_key : string;
+  t_shape : Sql.Ast.select;
+}
+
+type prepared = {
+  p_schema : string;
+  p_key : string;
+  p_block : O.Query_block.t;
+  p_ticket : ticket option;
+}
+
+let admit shapes p =
+  match p.p_ticket with
+  | None -> ()
+  | Some tk ->
+    Cote.Striped.with_key shapes tk.t_text (fun st ->
+        if not (Hashtbl.mem st.tbl tk.t_text) then begin
+          if Hashtbl.length st.tbl >= st.cap then
+            ignore (Cote.Striped.evict_lru st.tbl (fun e -> e.s_tick));
+          let e = { s_key = tk.t_key; s_shape = tk.t_shape; s_tick = 0 } in
+          touch st e;
+          Hashtbl.replace st.tbl tk.t_text e
+        end);
+    (* The gauge sweeps every stripe: outside the stripe's lock, so no
+       operation holds two. *)
+    if !Obs.Control.on then Obs.Gauge.set m_shape_entries (float_of_int (entries shapes))
 
 (* Key on the template, not the block signature: the template also
    separates string- from numeric-literal statements, and envelope and
    generation revalidation cannot tell same-SQL twins in different schemas
    apart.  (Dependent table names inside the plan cache stay unqualified:
    a stats bump for one schema's table then flushes its same-named twins
-   too, which is conservative, never stale.) *)
-let prepare ~who schemas ~id ~sql ~schema =
+   too, which is conservative, never stale.)
+
+   With a map, a text whose masked form is in it skips the parser and the
+   template key: its literals refill the stored shape, which yields the
+   AST the parser would (the tokens agree but for literal values, and the
+   entry's literals were exactly its template's parameters).  A parsed
+   text carries its admission ticket when the same holds for it. *)
+let prepare ?shapes ~who schemas ~id ~sql ~schema =
   let schema_name, schema = resolve_schema ~who schemas schema in
-  let ast = Qopt_sql.Parser.parse sql in
-  let key = template_key schema_name ast in
-  let block = Qopt_sql.Binder.bind ~name:(Printf.sprintf "q%d" id) schema ast in
-  { p_schema = schema_name; p_key = key; p_block = block }
+  let bind ast = Sql.Binder.bind ~name:(Printf.sprintf "q%d" id) schema ast in
+  let masked =
+    match shapes with
+    | None -> None
+    | Some m -> (
+      match Sql.Lexer.shape sql with
+      | None -> None
+      | Some (text, literals) ->
+        let text = (schema_name, text) in
+        Some (text, literals, find_shape m text))
+  in
+  match masked with
+  | Some (_, literals, Some e) ->
+    Obs.Counter.incr m_shape_hits;
+    {
+      p_schema = schema_name;
+      p_key = e.s_key;
+      p_block = bind (Sql.Template.instantiate e.s_shape literals);
+      p_ticket = None;
+    }
+  | Some (_, _, None) | None ->
+    let ast = Sql.Parser.parse sql in
+    let tpl = Sql.Template.normalize ast in
+    let key = schema_name ^ "|" ^ tpl.Sql.Template.key in
+    let p_ticket =
+      match masked with
+      | Some (text, literals, None)
+        when List.compare_lengths literals tpl.Sql.Template.params = 0
+             && List.for_all2
+                  (fun l p -> l = p.Sql.Template.p_value)
+                  literals tpl.Sql.Template.params ->
+        Some { t_text = text; t_key = key; t_shape = tpl.Sql.Template.shape }
+      | Some _ | None -> None
+    in
+    { p_schema = schema_name; p_key = key; p_block = bind ast; p_ticket }
 
 type evaluation = {
   ev_choice : Level.chosen;

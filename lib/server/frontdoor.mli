@@ -31,6 +31,10 @@ val send : conn -> Proto.reply -> unit
     closed connection is dropped, and a write failing because the client
     hung up is ignored. *)
 
+val send_encoded : conn -> string -> unit
+(** {!send} for a reply already encoded (as {!Proto.encode_compile}
+    makes one). *)
+
 val spawn : conn -> id:int -> (unit -> unit) -> unit
 (** Run [f] on its own thread for request [id].  Its front-end failures
     are answered like [handle]'s in {!serve}, and the connection is not
@@ -66,6 +70,24 @@ val serve :
     shut down and its thread joined.  [drain] also runs, before the
     [Unix.Unix_error] propagates, when the address cannot be bound. *)
 
+type shapes
+(** The statement text map: a bounded map from (schema, literal-masked
+    text — {!Qopt_sql.Lexer.shape}) to the statement's template key and
+    shape, so a repeated text is prepared without the parser and the
+    template key.  Striped and locked like the plan cache, with the same
+    capacity rule and least-recently-used eviction.  Metrics:
+    [frontdoor.shape_hits] counts the prepares it served,
+    [frontdoor.shape_entries] is its size after the last admission. *)
+
+val shapes : capacity:int -> shapes
+(** An empty map holding at most [capacity] entries. *)
+
+val entries : shapes -> int
+(** Entries across all stripes. *)
+
+type ticket
+(** What {!admit} enters into a {!shapes} map for a parsed statement. *)
+
 type prepared = {
   p_schema : string;  (** the resolved schema name *)
   p_key : string;
@@ -74,9 +96,14 @@ type prepared = {
           the block signature; the prefix keeps identical SQL against
           same-named tables in different schemas apart. *)
   p_block : O.Query_block.t;  (** the bound query, named ["q<id>"] *)
+  p_ticket : ticket option;
+      (** set when the statement was parsed, a map was given, and its
+          literals in text order are exactly its template's parameters —
+          a [LIMIT n] never is, nor is a statement served from the map *)
 }
 
 val prepare :
+  ?shapes:shapes ->
   who:string ->
   (string * Qopt_catalog.Schema.t) list ->
   id:int ->
@@ -85,7 +112,17 @@ val prepare :
   prepared
 (** Resolve the schema ([None] picks the first one, under its real name),
     parse, key, then bind.  Raises front-end failures, among them
-    ["unknown schema ..."] and ["<who> has no schemas configured"]. *)
+    ["unknown schema ..."] and ["<who> has no schemas configured"].
+
+    With [shapes], a text whose masked form is in the map skips the parse
+    and the key: its literals fill the stored shape, which is then bound.
+    Both ways give the same [p_key] and an equal [p_block]; a text
+    {!Qopt_sql.Lexer.shape} rejects is parsed, so it fails as before. *)
+
+val admit : shapes -> prepared -> unit
+(** Enter [p]'s text into the map if it carries a ticket ([p_ticket]).  The
+    server admits a text once its plan-cache lookup hit, so traffic that
+    rarely repeats never fills the map. *)
 
 type evaluation = {
   ev_choice : Level.chosen;  (** the level and its COTE prediction *)

@@ -159,6 +159,19 @@ let reply_to_json = function
     J.Obj [ ("op", J.Str "stats"); ("id", J.int id); ("stats", body) ]
   | R_ok id -> J.Obj [ ("op", J.Str "ok"); ("id", J.int id) ]
 
+(* Everything of an encoded compile reply up to its id: the object opens
+   with ["op"] then ["id"], as [reply_to_json] orders them. *)
+let compile_head = {|{"op":"compile","id":|}
+
+let compile_tail c =
+  let with_id0 = J.to_string (reply_to_json (R_compile (0, c))) in
+  let head = String.length compile_head + 1 in
+  assert (String.sub with_id0 0 head = compile_head ^ "0");
+  String.sub with_id0 head (String.length with_id0 - head)
+
+let encode_compile ~id tail =
+  String.concat "" [ compile_head; J.to_string (J.int id); tail ]
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -108,4 +108,13 @@ val request_of_json : J.t -> (request, string) result
 
 val reply_to_json : reply -> J.t
 
+val compile_tail : compile_body -> string
+(** A compile reply encoded once for any id: the bytes of
+    [J.to_string (reply_to_json (R_compile (id, c)))] that follow the
+    id. *)
+
+val encode_compile : id:int -> string -> string
+(** [encode_compile ~id (compile_tail c)] is
+    [J.to_string (reply_to_json (R_compile (id, c)))], byte for byte. *)
+
 val reply_of_json : J.t -> (reply, string) result

@@ -14,7 +14,6 @@ type 'a t = {
   mutable seq : int;
   mutable closed : bool;
   lock : Obs.Lock.t;
-  nonempty : Condition.t;
 }
 
 let create q_mode =
@@ -26,7 +25,6 @@ let create q_mode =
     seq = 0;
     closed = false;
     lock = Obs.Lock.create "sched";
-    nonempty = Condition.create ();
   }
 
 let mode t = t.q_mode
@@ -87,23 +85,8 @@ let push t ~priority item =
       else begin
         push_locked t { key; seq = t.seq; item };
         t.seq <- t.seq + 1;
-        Condition.signal t.nonempty;
         true
       end)
-
-let pop t =
-  (* The initial acquire is contention-audited; the re-acquires inside
-     Condition.wait are idle blocking (waiting for work, not for the
-     lock) and are deliberately not counted as lock wait. *)
-  Obs.Lock.lock t.lock;
-  let m = Obs.Lock.mutex t.lock in
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock m)
-    (fun () ->
-      while t.size = 0 && not t.closed do
-        Condition.wait t.nonempty m
-      done;
-      if t.size = 0 then None else Some (pop_locked t))
 
 let try_pop t =
   Obs.Lock.with_lock t.lock (fun () -> if t.size = 0 then None else Some (pop_locked t))
@@ -113,9 +96,6 @@ let drain t =
       let rec go acc = if t.size = 0 then List.rev acc else go (pop_locked t :: acc) in
       go [])
 
-let close t =
-  Obs.Lock.with_lock t.lock (fun () ->
-      t.closed <- true;
-      Condition.broadcast t.nonempty)
+let close t = Obs.Lock.with_lock t.lock (fun () -> t.closed <- true)
 
 let length t = Atomic.get t.size_a

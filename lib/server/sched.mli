@@ -8,8 +8,10 @@
     baseline, selectable per server.
 
     Within equal keys the tiebreak is arrival order, so [Fifo] is literally
-    SJF with a constant key.  [pop] blocks on a condition variable;
-    producers and consumers may live on any mix of threads and domains.
+    SJF with a constant key.  Nothing here blocks: consumers poll with
+    {!try_pop} (the server's workers sleep on their crew's condition, see
+    {!Qopt_par.Crew}); producers and consumers may live on any mix of
+    threads and domains.
 
     The heap lock is a contention-audited {!Qopt_obs.Lock} (family
     [lock.sched.*]); {!length} reads an atomic mirror of the size instead
@@ -31,22 +33,16 @@ val push : 'a t -> priority:float -> 'a -> bool
     [Fifo]).  Returns [false] — and drops the item — if the scheduler is
     already closed. *)
 
-val pop : 'a t -> 'a option
-(** Blocks until an item is available or the queue is closed; [None] only
-    after [close] with an empty queue.  Items left at close time are still
-    delivered (drain them with {!drain} first for cancel-on-shutdown
-    semantics). *)
-
 val try_pop : 'a t -> 'a option
-(** {!pop} without the wait: [None] when nothing is queued.  The server's
-    workers poll with it ({!Qopt_par.Crew}) and sleep on their crew's
-    condition instead. *)
+(** The next item in priority order, or [None] when nothing is queued.
+    Items left at close time are still delivered (drain them with
+    {!drain} first for cancel-on-shutdown semantics). *)
 
 val drain : 'a t -> 'a list
 (** Atomically removes and returns everything queued, in pop order. *)
 
 val close : 'a t -> unit
-(** Wakes all blocked [pop]s; subsequent pushes are refused. *)
+(** Subsequent pushes are refused. *)
 
 val length : 'a t -> int
 (** Lock-free: reads an atomic mirror maintained inside push/pop.  A read

@@ -127,18 +127,14 @@ type job = {
   j_send : Proto.reply -> unit;
 }
 
-(* The reply fields a plan-cache hit must echo without recompiling. *)
-type cached_meta = {
+(* The reply fields a compile reports beside its plan. *)
+type compile_meta = {
   pm_joins : int;
   pm_kept : int;
   pm_entries : int;
   pm_level : string;
   pm_regime : string;
 }
-
-(* A plan-cache entry's payload: the plan as its compile's reply rendered
-   it, so a hit sends the same bytes without rendering it again. *)
-type cached = { c_text : string; c_meta : cached_meta }
 
 (* Pure event tallies live in lock-free atomics: a stat bump from a
    connection thread or a worker domain never touches [t.lock], which
@@ -150,7 +146,10 @@ type t = {
   cfg : config;
   sched : job Sched.t;
   cache : Cote.Stmt_cache.t;
-  pcache : cached Cote.Plan_cache.t option;
+  pcache : string Cote.Plan_cache.t option;
+      (* the payload is the entry's hit reply, encoded but for the id
+         ({!Proto.compile_tail}) *)
+  shapes : Frontdoor.shapes option;  (* present with the plan cache *)
   recal : Cote.Recalibrate.t option;
   lock : Obs.Lock.t;
   mutable shutting : bool;
@@ -272,38 +271,44 @@ let cancel_job t job reason =
 
 (* Every [compile] reply the server sends — DP, fallback or plan-cache
    hit — is built here: the rendered plan with its cost and cardinality,
-   the counters the plan cache stores beside it, and the request's own
-   timings. *)
-let compile_reply id ~plan ~cost ~card meta ~elapsed_s ~predicted_s ~queue_s
-    ~cache_hit ~plan_cached =
-  Proto.R_compile
-    ( id,
-      {
-        Proto.c_plan = plan;
-        c_cost = cost;
-        c_card = card;
-        c_joins = meta.pm_joins;
-        c_kept = meta.pm_kept;
-        c_entries = meta.pm_entries;
-        c_elapsed_s = elapsed_s;
-        c_predicted_s = predicted_s;
-        c_level = meta.pm_level;
-        c_queue_s = queue_s;
-        c_cache_hit = cache_hit;
-        c_plan_cached = plan_cached;
-        c_regime = meta.pm_regime;
-      } )
+   the compile's counters, and the request's own timings. *)
+let compile_body ~plan ~cost ~card meta ~elapsed_s ~predicted_s ~queue_s ~cache_hit
+    ~plan_cached =
+  {
+    Proto.c_plan = plan;
+    c_cost = cost;
+    c_card = card;
+    c_joins = meta.pm_joins;
+    c_kept = meta.pm_kept;
+    c_entries = meta.pm_entries;
+    c_elapsed_s = elapsed_s;
+    c_predicted_s = predicted_s;
+    c_level = meta.pm_level;
+    c_queue_s = queue_s;
+    c_cache_hit = cache_hit;
+    c_plan_cached = plan_cached;
+    c_regime = meta.pm_regime;
+  }
 
 (* A finished compile, DP or fallback: release its reservation, record the
-   actual under [tag], store the plan with its rendering, account and
+   actual under [tag], store the plan with its hit reply, account and
    reply. *)
 let complete t job ~now ~tag ~elapsed_s best meta =
   release t job;
   Cote.Stmt_cache.record t.cache ~tag ~key:job.j_key job.j_block elapsed_s;
   let text = Option.map (Format.asprintf "%a" O.Plan.pp_compact) best in
-  (match (t.pcache, best, text) with
-  | Some pc, Some plan, Some c_text ->
-    Cote.Plan_cache.store pc ~key:job.j_key job.j_block ~plan { c_text; c_meta = meta }
+  (match (t.pcache, best) with
+  | Some pc, Some plan ->
+    (* A hit reports no compile of its own: zero seconds everywhere, and
+       [cache_hit] false — that flag means "the statement cache refined
+       the predicted seconds", and a hit never consults it;
+       [plan_cached] is the hit signal. *)
+    let hit =
+      compile_body ~plan:text ~cost:plan.O.Plan.cost ~card:plan.O.Plan.card meta
+        ~elapsed_s:0.0 ~predicted_s:0.0 ~queue_s:0.0 ~cache_hit:false
+        ~plan_cached:true
+    in
+    Cote.Plan_cache.store pc ~key:job.j_key job.j_block ~plan (Proto.compile_tail hit)
   | _ -> ());
   Obs.Counter.incr m_compiles;
   Obs.Histo.observe m_latency (Timer.monotonic_now () -. job.j_enqueued);
@@ -317,9 +322,11 @@ let complete t job ~now ~tag ~elapsed_s best meta =
     match best with Some p -> (p.O.Plan.cost, p.O.Plan.card) | None -> (0.0, 0.0)
   in
   job.j_send
-    (compile_reply job.j_id ~plan:text ~cost ~card meta ~elapsed_s
-       ~predicted_s:job.j_predicted_s ~queue_s:(now -. job.j_enqueued)
-       ~cache_hit:job.j_cache_hit ~plan_cached:false)
+    (Proto.R_compile
+       ( job.j_id,
+         compile_body ~plan:text ~cost ~card meta ~elapsed_s
+           ~predicted_s:job.j_predicted_s ~queue_s:(now -. job.j_enqueued)
+           ~cache_hit:job.j_cache_hit ~plan_cached:false ))
 
 (* A compile served by the spanning-tree regime — chosen up front (Greedy)
    or as the mid-compile rescue of a DP pass that blew its budget
@@ -438,8 +445,8 @@ let reject t conn req_id ~estimate_s ~in_flight_s reason =
 (* A plan-cache hit bypasses optimization entirely: no COTE pass, no
    worker, no statement-cache traffic.  Admission still runs — with a ~0
    estimate, so hits pass ceilings that reject cold compiles — and the
-   reply echoes the stored plan, its rendering and counters verbatim. *)
-let serve_plan_hit t conn req_id ~arrival plan cached =
+   reply is the stored one, encoded at store time, under this id. *)
+let serve_plan_hit t conn req_id ~arrival tail =
   let decision =
     (* Sched.length is lock-free, so this critical section is just the
        shutdown flag, the in-flight float and the ceiling arithmetic.  A
@@ -465,13 +472,7 @@ let serve_plan_hit t conn req_id ~arrival plan cached =
   | Ok () ->
     Obs.Counter.incr m_admitted;
     Obs.Histo.observe m_latency (Timer.monotonic_now () -. arrival);
-    (* [c_cache_hit] everywhere else means "Stmt_cache refined the
-       predicted seconds"; the statement cache is never consulted on this
-       path, so report false — [c_plan_cached] is the hit signal. *)
-    Frontdoor.send conn
-      (compile_reply req_id ~plan:(Some cached.c_text) ~cost:plan.O.Plan.cost
-         ~card:plan.O.Plan.card cached.c_meta ~elapsed_s:0.0
-         ~predicted_s:0.0 ~queue_s:0.0 ~cache_hit:false ~plan_cached:true)
+    Frontdoor.send_encoded conn (Proto.encode_compile ~id:req_id tail)
 
 (* The greedy regime's prediction needs nothing but the join graph: both
    features are summed over all blocks, matching what
@@ -599,7 +600,9 @@ let compile_cold t ~workers conn req_id ~arrival ~key ~estimate_hint_s block
 
 let handle_compile t ~workers conn ~id ~sql ~schema ~deadline_ms ~estimate_hint_s =
   let arrival = Timer.monotonic_now () in
-  let p = Frontdoor.prepare ~who:"server" t.cfg.schemas ~id ~sql ~schema in
+  let p =
+    Frontdoor.prepare ?shapes:t.shapes ~who:"server" t.cfg.schemas ~id ~sql ~schema
+  in
   let cold () =
     compile_cold t ~workers conn id ~arrival ~key:p.Frontdoor.p_key ~estimate_hint_s
       p.Frontdoor.p_block deadline_ms
@@ -608,8 +611,9 @@ let handle_compile t ~workers conn ~id ~sql ~schema ~deadline_ms ~estimate_hint_
   | None -> cold ()
   | Some pc -> (
     match Cote.Plan_cache.lookup pc ~key:p.Frontdoor.p_key p.Frontdoor.p_block with
-    | Cote.Plan_cache.Hit { plan; payload } ->
-      serve_plan_hit t conn id ~arrival plan payload
+    | Cote.Plan_cache.Hit { plan = _; payload } ->
+      Option.iter (fun m -> Frontdoor.admit m p) t.shapes;
+      serve_plan_hit t conn id ~arrival payload
     | Cote.Plan_cache.Miss | Cote.Plan_cache.Invalidated _ -> cold ())
 
 let initiate_shutdown t =
@@ -636,7 +640,9 @@ let handle t ~workers conn req =
   Obs.Counter.incr m_requests;
   match req with
   | Proto.Estimate { id; sql; schema } ->
-    let p = Frontdoor.prepare ~who:"server" t.cfg.schemas ~id ~sql ~schema in
+    let p =
+      Frontdoor.prepare ?shapes:t.shapes ~who:"server" t.cfg.schemas ~id ~sql ~schema
+    in
     let ev = evaluate t ~key:p.Frontdoor.p_key p.Frontdoor.p_block in
     Obs.Counter.incr m_estimates;
     Atomic.incr t.n_estimates;
@@ -658,6 +664,10 @@ let run ?(on_ready = fun () -> ()) cfg =
       pcache =
         Option.map
           (fun config -> Cote.Plan_cache.create ~shared:true ~config ())
+          cfg.plan_cache;
+      shapes =
+        Option.map
+          (fun c -> Frontdoor.shapes ~capacity:c.Cote.Plan_cache.capacity)
           cfg.plan_cache;
       recal =
         Option.map

@@ -61,8 +61,12 @@ type config = {
           in different schemas never shares an entry), and a hit
           whose selectivity envelope still holds is answered inline from
           the cached plan — no COTE pass, no worker, an admission
-          estimate of 0.  [None] (the default) preserves the
-          always-compile behaviour. *)
+          estimate of 0, and the reply the entry stored already
+          encoded.  It also enables the front door's statement text map
+          ({!Frontdoor.shapes}, as many entries as the plan cache): a
+          text whose lookup hit is admitted, and its repeats are
+          prepared without the parser.  [None] (the default) preserves
+          the always-compile behaviour. *)
   recalibrate : Cote.Recalibrate.config option;
       (** [Some cfg] enables online recalibration ({!Cote.Recalibrate}):
           every completed compile feeds its generated plan counts and

@@ -39,3 +39,10 @@ val normalize : Ast.select -> t
 
 val key_of : Ast.select -> string
 (** [(normalize s).key] without building the parameter list. *)
+
+val instantiate : Ast.select -> Ast.literal list -> Ast.select
+(** The inverse of {!normalize}: [instantiate t.shape (List.map (fun p ->
+    p.p_value) t.params)] is the statement [t] was normalized from.  The
+    literals fill the placeholders in {!normalize}'s traversal order, which
+    is their order in the statement's text.  Raises [Invalid_argument]
+    unless there are exactly as many literals as placeholders. *)

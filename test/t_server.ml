@@ -233,24 +233,25 @@ let sched_tests =
         List.iter
           (fun (p, x) -> assert (Srv.Sched.push q ~priority:p x))
           [ (3.0, "c"); (1.0, "a1"); (2.0, "b"); (1.0, "a2") ];
-        let order = List.init 4 (fun _ -> Option.get (Srv.Sched.pop q)) in
-        Alcotest.(check (list string)) "order" [ "a1"; "a2"; "b"; "c" ] order);
+        let order = List.init 4 (fun _ -> Option.get (Srv.Sched.try_pop q)) in
+        Alcotest.(check (list string)) "order" [ "a1"; "a2"; "b"; "c" ] order;
+        Alcotest.(check (option string)) "then empty" None (Srv.Sched.try_pop q));
     t "FIFO ignores priority" (fun () ->
         let q = Srv.Sched.create Srv.Sched.Fifo in
         List.iter
           (fun (p, x) -> assert (Srv.Sched.push q ~priority:p x))
           [ (3.0, "x"); (1.0, "y"); (2.0, "z") ];
-        let order = List.init 3 (fun _ -> Option.get (Srv.Sched.pop q)) in
+        let order = List.init 3 (fun _ -> Option.get (Srv.Sched.try_pop q)) in
         Alcotest.(check (list string)) "order" [ "x"; "y"; "z" ] order);
-    t "close rejects pushes and wakes poppers" (fun () ->
+    t "close rejects pushes and still delivers queued items" (fun () ->
         let q = Srv.Sched.create Srv.Sched.Sjf in
         assert (Srv.Sched.push q ~priority:1.0 "first");
         Srv.Sched.close q;
         Alcotest.(check bool) "push after close" false
           (Srv.Sched.push q ~priority:0.0 "late");
         Alcotest.(check (option string)) "drains existing" (Some "first")
-          (Srv.Sched.pop q);
-        Alcotest.(check (option string)) "then None" None (Srv.Sched.pop q));
+          (Srv.Sched.try_pop q);
+        Alcotest.(check (option string)) "then None" None (Srv.Sched.try_pop q));
     t "drain empties in priority order" (fun () ->
         let q = Srv.Sched.create Srv.Sched.Sjf in
         List.iter
@@ -258,14 +259,6 @@ let sched_tests =
           [ (2.0, "b"); (1.0, "a") ];
         Alcotest.(check (list string)) "drained" [ "a"; "b" ] (Srv.Sched.drain q);
         Alcotest.(check int) "empty" 0 (Srv.Sched.length q));
-    t "blocked pop wakes on push from another thread" (fun () ->
-        let q = Srv.Sched.create Srv.Sched.Sjf in
-        let got = ref None in
-        let th = Thread.create (fun () -> got := Srv.Sched.pop q) () in
-        Thread.delay 0.02;
-        assert (Srv.Sched.push q ~priority:1.0 "woken");
-        Thread.join th;
-        Alcotest.(check (option string)) "woken" (Some "woken") !got);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -932,6 +925,42 @@ let server_tests =
 (* The plan cache behind the socket                                    *)
 (* ------------------------------------------------------------------ *)
 
+let with_plan_cache_server f =
+  with_server
+    ~configure:(fun cfg ->
+      { cfg with Srv.Server.plan_cache = Some Cote.Plan_cache.default_config })
+    f
+
+let compile_reply c sql =
+  request_exn c
+    (Srv.Proto.Compile
+       {
+         id = Srv.Client.fresh_id c;
+         sql;
+         schema = None;
+         deadline_ms = None;
+         estimate_hint_s = None;
+       })
+
+let compile_body c sql =
+  match compile_reply c sql with
+  | Srv.Proto.R_compile (_, b) -> b
+  | r ->
+    Alcotest.failf "expected compile reply, got %s"
+      (J.to_string (Srv.Proto.reply_to_json r))
+
+(* [frontdoor.shape_hits] from the server's metrics: process-wide, so
+   callers compare differences. *)
+let shape_hits c =
+  match request_exn c (Srv.Proto.Stats { id = Srv.Client.fresh_id c }) with
+  | Srv.Proto.R_stats (_, doc) ->
+    Option.get
+      (Option.bind
+         (Option.bind (Option.bind (J.member "metrics" doc) (J.member "counters"))
+            (J.member "frontdoor.shape_hits"))
+         J.get_int)
+  | _ -> Alcotest.fail "expected stats reply"
+
 let plan_cache_tests =
   [
     t "plan-cache hits bypass the optimizer and clear a cold-reject ceiling"
@@ -1133,6 +1162,108 @@ let plan_cache_tests =
                   Alcotest.(check bool) "never plan-cached" false
                     b.Srv.Proto.c_plan_cached
                 | _ -> Alcotest.fail "expected compile reply")));
+    t "a hit reply is byte-identical to the encoded record" (fun () ->
+        let body =
+          {
+            Srv.Proto.c_plan = Some "HSJN(\"a\"\\b\n,SCAN(t))";
+            c_cost = 0.1;
+            c_card = 1e20;
+            c_joins = 3;
+            c_kept = 17;
+            c_entries = 5;
+            c_elapsed_s = 0.0;
+            c_predicted_s = 0.0;
+            c_level = "full";
+            c_queue_s = 0.0;
+            c_cache_hit = false;
+            c_plan_cached = true;
+            c_regime = "dp";
+          }
+        in
+        let tail = Srv.Proto.compile_tail body in
+        List.iter
+          (fun id ->
+            Alcotest.(check string)
+              (Printf.sprintf "id %d" id)
+              (J.to_string (Srv.Proto.reply_to_json (Srv.Proto.R_compile (id, body))))
+              (Srv.Proto.encode_compile ~id tail))
+          [ 0; 7; 1_000_000_000 ];
+        (* Over the socket: the raw bytes of a hit are the encoding of the
+           reply they parse to. *)
+        with_plan_cache_server (fun addr ->
+            let fd = Srv.Frontdoor.dial addr in
+            let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                List.iter
+                  (fun id ->
+                    Srv.Wire.write oc
+                      (J.to_string
+                         (Srv.Proto.request_to_json
+                            (Srv.Proto.Compile
+                               {
+                                 id;
+                                 sql = small_sql;
+                                 schema = None;
+                                 deadline_ms = None;
+                                 estimate_hint_s = None;
+                               })));
+                    let raw = Option.get (Srv.Wire.read ic) in
+                    match Result.bind (J.parse raw) Srv.Proto.reply_of_json with
+                    | Ok (Srv.Proto.R_compile (rid, b) as r) ->
+                      Alcotest.(check int) "id" id rid;
+                      Alcotest.(check bool) "hit" (id <> 0) b.Srv.Proto.c_plan_cached;
+                      Alcotest.(check string) "bytes"
+                        (J.to_string (Srv.Proto.reply_to_json r))
+                        raw
+                    | _ -> Alcotest.failf "expected a compile reply, got %s" raw)
+                  [ 0; 7; 1_000_000_000 ])));
+    t "the third request of a template is served through the text map" (fun () ->
+        with_plan_cache_server (fun addr ->
+            let c = Srv.Client.connect addr in
+            Fun.protect
+              ~finally:(fun () -> Srv.Client.close c)
+              (fun () ->
+                let hits0 = shape_hits c in
+                let compile n =
+                  compile_body c
+                    (Printf.sprintf
+                       "SELECT s.s_store_name FROM store s WHERE s.s_market_id = %d" n)
+                in
+                let b1 = compile 3 in
+                let b2 = compile 4 in
+                Alcotest.(check int) "no map hit yet" 0 (shape_hits c - hits0);
+                let b3 = compile 5 in
+                Alcotest.(check int) "served through the map" 1 (shape_hits c - hits0);
+                Alcotest.(check bool) "first compiled" false b1.Srv.Proto.c_plan_cached;
+                Alcotest.(check bool) "second a hit" true b2.Srv.Proto.c_plan_cached;
+                Alcotest.(check bool) "third equals the second" true (b2 = b3);
+                Alcotest.(check (option string)) "the compiled plan" b1.Srv.Proto.c_plan
+                  b3.Srv.Proto.c_plan)));
+    t "LIMIT 0 after LIMIT 5 of the same shape still gets the parser's error"
+      (fun () ->
+        with_plan_cache_server (fun addr ->
+            let c = Srv.Client.connect addr in
+            Fun.protect
+              ~finally:(fun () -> Srv.Client.close c)
+              (fun () ->
+                let hits0 = shape_hits c in
+                let sql n =
+                  Printf.sprintf
+                    "SELECT s.s_store_name FROM store s WHERE s.s_market_id = 3 LIMIT %d" n
+                in
+                ignore (compile_body c (sql 5));
+                Alcotest.(check bool) "LIMIT 5 again is a hit" true
+                  (compile_body c (sql 5)).Srv.Proto.c_plan_cached;
+                (match compile_reply c (sql 0) with
+                | Srv.Proto.R_error { message; _ } ->
+                  Alcotest.(check string) "parser's error"
+                    "expected a positive LIMIT count, found num(0)" message
+                | r ->
+                  Alcotest.failf "expected an error, got %s"
+                    (J.to_string (Srv.Proto.reply_to_json r)));
+                Alcotest.(check int) "never through the map" 0 (shape_hits c - hits0))));
   ]
 
 (* ------------------------------------------------------------------ *)

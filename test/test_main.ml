@@ -29,6 +29,7 @@ let () =
       ("plan-cache", T_plan_cache.suite);
       ("sql-roundtrip", T_roundtrip.suite);
       ("sql-errors", T_sqlfront_errors.suite);
+      ("text-map", T_text_map.suite);
       ("server", T_server.suite);
       ("fleet", T_fleet.suite);
       ("giant", T_giant.suite);
