@@ -619,16 +619,10 @@ let serve_cmd =
                 running a local COTE pass (fleet backends behind a router \
                 that estimates once); ignored when --downgrade-s is set")
   in
-  let greedy_restarts_term =
-    Arg.(
-      value & opt int 0
-      & info [ "greedy-restarts" ] ~docv:"N"
-          ~doc:"randomized spanning-tree restarts per fallback compile")
-  in
   let run env socket tcp workers mode model per_request aggregate max_queue
       downgrade deadline plan_cache plan_cache_slack recalibrate recalib_window
       recalib_drift recalib_min_interval trust_hints max_memo_entries
-      max_kept_plans greedy_restarts =
+      max_kept_plans =
     wrap (fun () ->
         let mode =
           match mode with
@@ -688,7 +682,6 @@ let serve_cmd =
             trust_hints;
             budget =
               O.Budget.make ?max_memo_entries ?max_kept_plans ();
-            greedy_restarts;
             helpers;
           }
         in
@@ -718,7 +711,7 @@ let serve_cmd =
        $ max_queue_term $ downgrade_term $ deadline_term $ plan_cache_term
        $ plan_cache_slack_term $ recalibrate_term $ recalib_window_term
        $ recalib_drift_term $ recalib_min_interval_term $ trust_hints_term
-       $ max_memo_entries_term $ max_kept_plans_term $ greedy_restarts_term))
+       $ max_memo_entries_term $ max_kept_plans_term))
 
 let fleet_cmd =
   let backends_term =

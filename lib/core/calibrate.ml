@@ -30,23 +30,18 @@ let measure ?knobs ?(repeats = 3) ?runner env block =
   }
 
 (* The regression's design matrix and targets. *)
-let training ~with_join_term observations =
-  let features o =
-    if with_join_term then [| o.obs_nljn; o.obs_mgjn; o.obs_hsjn; o.obs_joins |]
-    else [| o.obs_nljn; o.obs_mgjn; o.obs_hsjn |]
-  in
+let training observations =
+  let features o = [| o.obs_nljn; o.obs_mgjn; o.obs_hsjn |] in
   ( Array.of_list (List.map features observations),
     Array.of_list (List.map (fun o -> o.obs_seconds) observations) )
 
-let fit ?(with_join_term = false) observations =
+let fit observations =
   if observations = [] then invalid_arg "Calibrate.fit: no observations";
-  let xs, ys = training ~with_join_term observations in
+  let xs, ys = training observations in
   let c = Regression.fit_nonneg xs ys in
-  Time_model.make ~c_nljn:c.(0) ~c_mgjn:c.(1) ~c_hsjn:c.(2)
-    ?c_join:(if with_join_term then Some c.(3) else None)
-    ()
+  Time_model.make ~c_nljn:c.(0) ~c_mgjn:c.(1) ~c_hsjn:c.(2) ()
 
-let refit ?ridge ?(with_join_term = false) ~previous observations =
+let refit ?ridge ~previous observations =
   (* Online recalibration must never kill the serving path: a degenerate
      training batch (empty, or rank-deficient — e.g. every query produced
      proportional plan counts) keeps the previous coefficients instead of
@@ -54,7 +49,7 @@ let refit ?ridge ?(with_join_term = false) ~previous observations =
   match observations with
   | [] -> previous
   | _ -> (
-    let xs, ys = training ~with_join_term observations in
+    let xs, ys = training observations in
     (* Solvable (full-rank) normal equations are the health check; the
        coefficients themselves come from the usual non-negative fit.  An
        optional ridge dampens the check for callers that would rather
@@ -62,7 +57,7 @@ let refit ?ridge ?(with_join_term = false) ~previous observations =
     match Regression.fit_result ?ridge xs ys with
     | Error _ -> previous
     | Ok _ -> (
-      match fit ~with_join_term observations with
+      match fit observations with
       | m -> m
       | exception (Failure _ | Invalid_argument _) -> previous))
 
@@ -92,5 +87,5 @@ let fit_instrumented observations =
   Time_model.make ~c_nljn:(cn *. inflate) ~c_mgjn:(cm *. inflate)
     ~c_hsjn:(ch *. inflate) ()
 
-let calibrate ?knobs ?repeats ?with_join_term env blocks =
-  fit ?with_join_term (List.map (measure ?knobs ?repeats env) blocks)
+let calibrate ?knobs ?repeats env blocks =
+  fit (List.map (measure ?knobs ?repeats env) blocks)

@@ -32,15 +32,13 @@ val measure :
     per-method times are busy time summed over domains, so
     {!fit_instrumented} scales them to wall-clock seconds. *)
 
-val fit : ?with_join_term:bool -> observation list -> Time_model.t
-(** Non-negative least squares on the observations.  With
-    [~with_join_term:true] a per-join coefficient absorbs enumeration
-    overhead (an extension the paper leaves to the fixed three-term model).
-    Raises [Invalid_argument] on an empty list. *)
+val fit : observation list -> Time_model.t
+(** Non-negative least squares of the seconds on the three plan counts
+    (the paper's model; [c_join] is 0).  Raises [Invalid_argument] on an
+    empty list. *)
 
 val refit :
   ?ridge:float ->
-  ?with_join_term:bool ->
   previous:Time_model.t ->
   observation list ->
   Time_model.t
@@ -69,7 +67,6 @@ val fit_instrumented : observation list -> Time_model.t
 val calibrate :
   ?knobs:O.Knobs.t ->
   ?repeats:int ->
-  ?with_join_term:bool ->
   O.Env.t ->
   O.Query_block.t list ->
   Time_model.t

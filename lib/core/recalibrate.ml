@@ -32,8 +32,6 @@ type config = {
   drift_threshold_pct : float;
   min_observations : int;
   min_refit_interval : int;
-  decay : float;
-  with_join_term : bool;
   ridge : float;
 }
 
@@ -44,8 +42,6 @@ let default_config =
     drift_threshold_pct = 50.0;
     min_observations = 8;
     min_refit_interval = 8;
-    decay = 1.0;
-    with_join_term = false;
     ridge = 0.0;
   }
 
@@ -54,23 +50,13 @@ let default_config =
 (* ------------------------------------------------------------------ *)
 
 type sample = {
-  s_level : string;
   s_nljn : float;
   s_mgjn : float;
   s_hsjn : float;
-  s_joins : float;
   s_elapsed_s : float;
 }
 
-let dummy_sample =
-  {
-    s_level = "";
-    s_nljn = 0.0;
-    s_mgjn = 0.0;
-    s_hsjn = 0.0;
-    s_joins = 0.0;
-    s_elapsed_s = 0.0;
-  }
+let dummy_sample = { s_nljn = 0.0; s_mgjn = 0.0; s_hsjn = 0.0; s_elapsed_s = 0.0 }
 
 type t = {
   cfg : config;
@@ -105,8 +91,6 @@ let create ?(config = default_config) ~model () =
     invalid_arg "Recalibrate.create: drift_window < 1";
   if config.drift_threshold_pct <= 0.0 then
     invalid_arg "Recalibrate.create: drift_threshold_pct <= 0";
-  if not (config.decay > 0.0 && config.decay <= 1.0) then
-    invalid_arg "Recalibrate.create: decay outside (0, 1]";
   {
     cfg = config;
     model = Atomic.make model;
@@ -138,41 +122,23 @@ let mean_error_locked t =
     !sum /. float_of_int n
   end
 
-(* Oldest-first fold over the filled part of the sample ring. *)
-let fold_samples_locked t f acc =
+(* The filled part of the sample ring, oldest first. *)
+let training_set_locked t =
   let cap = Array.length t.samples in
   let fill = min t.n_samples cap in
   let first = t.n_samples - fill in
-  let acc = ref acc in
-  for k = 0 to fill - 1 do
-    acc := f t.samples.((first + k) mod cap) ~age:(fill - 1 - k) !acc
-  done;
-  !acc
-
-(* Weighted least squares via row scaling: multiplying a feature row and
-   its target by sqrt(w) makes plain least squares minimize the
-   w-weighted residual — so exponential decay is just decay^(age/2) on
-   each row before handing the batch to Calibrate.refit. *)
-let training_set_locked t =
-  let obs =
-    fold_samples_locked t
-      (fun s ~age acc ->
-        let w = if t.cfg.decay >= 1.0 then 1.0 else t.cfg.decay ** float_of_int age in
-        let sw = sqrt w in
-        {
-          Calibrate.obs_nljn = s.s_nljn *. sw;
-          obs_mgjn = s.s_mgjn *. sw;
-          obs_hsjn = s.s_hsjn *. sw;
-          obs_joins = s.s_joins *. sw;
-          obs_seconds = s.s_elapsed_s *. sw;
-          obs_t_nljn = 0.0;
-          obs_t_mgjn = 0.0;
-          obs_t_hsjn = 0.0;
-        }
-        :: acc)
-      []
-  in
-  List.rev obs
+  List.init fill (fun k ->
+      let s = t.samples.((first + k) mod cap) in
+      {
+        Calibrate.obs_nljn = s.s_nljn;
+        obs_mgjn = s.s_mgjn;
+        obs_hsjn = s.s_hsjn;
+        obs_joins = 0.0;
+        obs_seconds = s.s_elapsed_s;
+        obs_t_nljn = 0.0;
+        obs_t_mgjn = 0.0;
+        obs_t_hsjn = 0.0;
+      })
 
 let refit_locked t =
   t.since_attempt <- 0;
@@ -180,7 +146,7 @@ let refit_locked t =
   let next =
     Calibrate.refit
       ?ridge:(if t.cfg.ridge > 0.0 then Some t.cfg.ridge else None)
-      ~with_join_term:t.cfg.with_join_term ~previous (training_set_locked t)
+      ~previous (training_set_locked t)
   in
   if next == previous then begin
     (* Degenerate batch (rank-deficient or empty): the previous model
@@ -204,7 +170,7 @@ let refit_locked t =
     true
   end
 
-let observe t ?(level = "") ~nljn ~mgjn ~hsjn ~joins ~predicted_s ~elapsed_s () =
+let observe t ~nljn ~mgjn ~hsjn ~predicted_s ~elapsed_s =
   (* Queries with no join plans at all predict exactly 0 regardless of the
      coefficients — they carry no signal about C_t and would pin the
      relative error at 100%.  Non-positive elapsed has no usable target. *)
@@ -213,14 +179,7 @@ let observe t ?(level = "") ~nljn ~mgjn ~hsjn ~joins ~predicted_s ~elapsed_s () 
     Mutex.protect t.lock (fun () ->
         let cap = Array.length t.samples in
         t.samples.(t.n_samples mod cap) <-
-          {
-            s_level = level;
-            s_nljn = nljn;
-            s_mgjn = mgjn;
-            s_hsjn = hsjn;
-            s_joins = joins;
-            s_elapsed_s = elapsed_s;
-          };
+          { s_nljn = nljn; s_mgjn = mgjn; s_hsjn = hsjn; s_elapsed_s = elapsed_s };
         t.n_samples <- t.n_samples + 1;
         t.since_attempt <- t.since_attempt + 1;
         Obs.Counter.incr m_observations;
@@ -238,8 +197,6 @@ let observe t ?(level = "") ~nljn ~mgjn ~hsjn ~joins ~predicted_s ~elapsed_s () 
           && t.since_attempt >= t.cfg.min_refit_interval
         then refit_locked t
         else false)
-
-let refit_now t = Mutex.protect t.lock (fun () -> refit_locked t)
 
 let snapshot t =
   Mutex.protect t.lock (fun () ->

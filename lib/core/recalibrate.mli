@@ -5,12 +5,12 @@
     compilation time of every request it executes, so the loop can be
     closed: each completed compile contributes an observation (generated
     plan counts per join method as features, measured elapsed seconds as
-    the target, tagged with the knob level it ran at) into a bounded
-    sliding window, and a drift detector — the windowed mean of the
-    recent relative prediction errors — triggers a refit through
-    {!Calibrate.refit} and atomically swaps the coefficients.  Every
-    consumer of {!model} (admission, SJF priorities, level selection)
-    sees the corrected model on its next prediction, lock-free.
+    the target) into a bounded sliding window, and a drift detector — the
+    windowed mean of the recent relative prediction errors — triggers a
+    refit through {!Calibrate.refit} and atomically swaps the
+    coefficients.  Every consumer of {!model} (admission, SJF priorities,
+    level selection) sees the corrected model on its next prediction,
+    lock-free.
 
     Refits inherit {!Calibrate.refit}'s safety: a rank-deficient window
     (e.g. every recent query produced proportional plan counts) keeps
@@ -31,11 +31,6 @@ type config = {
   min_refit_interval : int;
       (** observations that must separate consecutive refit attempts
           (default 8) *)
-  decay : float;
-      (** per-observation-age exponential weight in (0, 1]; 1.0 (default)
-          is a plain sliding window, smaller values favour recent
-          observations in the least-squares fit *)
-  with_join_term : bool;  (** fit the optional per-join coefficient too *)
   ridge : float;
       (** Tikhonov damping for the refit health check; 0.0 (default)
           keeps {!Calibrate.refit}'s strict rank test *)
@@ -47,8 +42,7 @@ type t
 
 val create : ?config:config -> model:Time_model.t -> unit -> t
 (** A recalibrator initially serving [model].  Raises [Invalid_argument]
-    on a non-positive window, drift window or threshold, or a decay
-    outside (0, 1]. *)
+    on a non-positive window, drift window or threshold. *)
 
 val model : t -> Time_model.t
 (** The currently serving coefficients — a lock-free atomic load, safe to
@@ -58,14 +52,11 @@ val config : t -> config
 
 val observe :
   t ->
-  ?level:string ->
   nljn:float ->
   mgjn:float ->
   hsjn:float ->
-  joins:float ->
   predicted_s:float ->
   elapsed_s:float ->
-  unit ->
   bool
 (** Feed one completed compile: the {e generated} plan counts per join
     method, the model's predicted seconds at decision time, and the
@@ -73,11 +64,6 @@ val observe :
     tripped the drift detector {e and} the resulting refit swapped the
     model.  Observations with no join plans at all or a non-positive
     elapsed carry no coefficient signal and are skipped.  Thread-safe. *)
-
-val refit_now : t -> bool
-(** Force a refit attempt from the current window, bypassing the drift
-    detector (an operator hook; the server never calls it).  Returns
-    [true] if the model was swapped. *)
 
 type snapshot = {
   sn_model : Time_model.t;

@@ -44,25 +44,10 @@ let predicted_s d =
   | Dp -> ( match d.d_dp_s with Some s -> s | None -> d.d_greedy_s)
   | Greedy | Dp_budget_fallback -> d.d_greedy_s
 
-(* Process-wide regime metrics (no-ops unless Qopt_obs is enabled). *)
-let m_dp = Obs.Registry.counter Obs.Registry.default "regime.dp"
-
-let m_greedy = Obs.Registry.counter Obs.Registry.default "regime.greedy"
-
-let m_fallbacks = Obs.Registry.counter Obs.Registry.default "regime.fallbacks"
-
+(* Process-wide (a no-op unless Qopt_obs is enabled).  The regime counts
+   are the server's [stats] fields, kept per server. *)
 let m_margin = Obs.Registry.gauge Obs.Registry.default "regime.decision_margin_s"
 
-let record d =
-  (match d.d_regime with
-  | Dp -> Obs.Counter.incr m_dp
-  | Greedy -> Obs.Counter.incr m_greedy
-  | Dp_budget_fallback ->
-    (* A fallback is a DP admission that got rescued mid-compile: it was
-       already counted as DP at decision time, so only the rescue counts. *)
-    Obs.Counter.incr m_fallbacks);
-  Obs.Gauge.set m_margin d.d_margin_s
-
-let record_fallback () = Obs.Counter.incr m_fallbacks
+let record d = Obs.Gauge.set m_margin d.d_margin_s
 
 let pp ppf r = Format.pp_print_string ppf (to_string r)

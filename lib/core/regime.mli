@@ -44,11 +44,9 @@ val predicted_s : decision -> float
     against the deadline. *)
 
 val record : decision -> unit
-(** Bump [regime.dp] / [regime.greedy] / [regime.fallbacks] and set the
-    [regime.decision_margin_s] gauge (no-ops unless {!Qopt_obs} is on). *)
-
-val record_fallback : unit -> unit
-(** A DP compile blew its budget mid-flight and was rescued: bump
-    [regime.fallbacks]. *)
+(** Set the [regime.decision_margin_s] gauge (a no-op unless {!Qopt_obs}
+    is on).  How many decisions chose each regime is counted by the
+    caller: the compile server's [stats] reports [regime_dp],
+    [regime_greedy] and [regime_fallbacks]. *)
 
 val pp : Format.formatter -> t -> unit

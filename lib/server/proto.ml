@@ -169,8 +169,15 @@ let compile_tail c =
   assert (String.sub with_id0 0 head = compile_head ^ "0");
   String.sub with_id0 head (String.length with_id0 - head)
 
+(* [J] renders an integral number below 1e15 in magnitude with ["%.0f"],
+   which for an int id is its decimal digits: [string_of_int] gives the
+   same bytes without the encoder's buffer and format. *)
 let encode_compile ~id tail =
-  String.concat "" [ compile_head; J.to_string (J.int id); tail ]
+  let digits =
+    if id > -1_000_000_000_000_000 && id < 1_000_000_000_000_000 then string_of_int id
+    else J.to_string (J.int id)
+  in
+  String.concat "" [ compile_head; digits; tail ]
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

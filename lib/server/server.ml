@@ -28,10 +28,6 @@ type config = {
       (* resource caps on every DP pass, estimate and compile alike: a
          giant join graph aborts with [Budget.Exceeded] instead of
          OOMing, and the compile is served by the greedy regime. *)
-  greedy_model : Cote.Greedy_model.t;
-      (* fitted time model for the spanning-tree fallback: its prediction
-         competes with the DP prediction in regime selection. *)
-  greedy_restarts : int;  (* randomized restarts per fallback compile *)
   helpers : Qopt_par.Pool.t option;
       (* persistent helper domains that share each DP compile's levels *)
 }
@@ -53,49 +49,14 @@ let default_config ~listen ~model ~schemas () =
     recalibrate = None;
     trust_hints = false;
     budget = O.Budget.unlimited;
-    greedy_model = Cote.Greedy_model.default;
-    greedy_restarts = 0;
     helpers = None;
   }
 
-type stats = {
-  st_requests : int;
-  st_admitted : int;
-  st_rejected : int;
-  st_cancelled : int;
-  st_compiles : int;
-  st_estimates : int;
-  st_errors : int;
-  st_downgrades : int;
-  st_plan_hits : int;
-  st_refits : int;
-  st_regime_dp : int;
-  st_regime_greedy : int;
-  st_regime_fallbacks : int;
-  st_queue_depth : int;
-  st_in_flight_s : float;
-}
-
 (* ------------------------------------------------------------------ *)
-(* server.* metrics (no-ops unless Qopt_obs collection is on; run       *)
-(* forces it on for the server's lifetime)                              *)
+(* server.* metrics: histograms and the queue-depth gauge (no-ops       *)
+(* unless Qopt_obs collection is on; run forces it on for the server's  *)
+(* lifetime).  The event counts are the per-server tallies in [t].      *)
 (* ------------------------------------------------------------------ *)
-
-let m_requests = Obs.Registry.counter Obs.Registry.default "server.requests"
-
-let m_admitted = Obs.Registry.counter Obs.Registry.default "server.admitted"
-
-let m_rejected = Obs.Registry.counter Obs.Registry.default "server.rejected"
-
-let m_cancelled = Obs.Registry.counter Obs.Registry.default "server.cancelled"
-
-let m_compiles = Obs.Registry.counter Obs.Registry.default "server.compiles"
-
-let m_estimates = Obs.Registry.counter Obs.Registry.default "server.estimates"
-
-let m_errors = Obs.Registry.counter Obs.Registry.default "server.errors"
-
-let m_downgrades = Obs.Registry.counter Obs.Registry.default "server.downgrades"
 
 let m_queue_depth = Obs.Registry.gauge Obs.Registry.default "server.queue_depth"
 
@@ -136,11 +97,13 @@ type compile_meta = {
   pm_regime : string;
 }
 
-(* Pure event tallies live in lock-free atomics: a stat bump from a
-   connection thread or a worker domain never touches [t.lock], which
-   guards only the coupled admission state (in_flight_s + the shutdown
-   flag, which must be read-modified together under admission).  The lock
-   is a contention-audited {!Qopt_obs.Lock} ([lock.server_state.*]) so its
+(* Each server event is counted once, in one of the [n_*] atomics that
+   [stats] reports: per server, exact, and independent of the
+   process-wide {!Qopt_obs.Control} switch.  A bump from a connection
+   thread or a worker domain never touches [t.lock], which guards only the
+   coupled admission state (in_flight_s + the shutdown flag, which must be
+   read-modified together under admission).  The lock is a
+   contention-audited {!Qopt_obs.Lock} ([lock.server_state.*]) so its
    residual traffic stays measured. *)
 type t = {
   cfg : config;
@@ -168,29 +131,6 @@ type t = {
   n_regime_fallbacks : int Atomic.t;
 }
 
-let snapshot t =
-  let in_flight_s = Obs.Lock.with_lock t.lock (fun () -> t.in_flight_s) in
-  {
-    st_requests = Atomic.get t.n_requests;
-    st_admitted = Atomic.get t.n_admitted;
-    st_rejected = Atomic.get t.n_rejected;
-    st_cancelled = Atomic.get t.n_cancelled;
-    st_compiles = Atomic.get t.n_compiles;
-    st_estimates = Atomic.get t.n_estimates;
-    st_errors = Atomic.get t.n_errors;
-    st_downgrades = Atomic.get t.n_downgrades;
-    st_plan_hits = Atomic.get t.n_plan_hits;
-    st_regime_dp = Atomic.get t.n_regime_dp;
-    st_regime_greedy = Atomic.get t.n_regime_greedy;
-    st_regime_fallbacks = Atomic.get t.n_regime_fallbacks;
-    st_refits =
-      (match t.recal with
-      | None -> 0
-      | Some r -> (Cote.Recalibrate.snapshot r).Cote.Recalibrate.sn_refits);
-    st_queue_depth = Sched.length t.sched;
-    st_in_flight_s = in_flight_s;
-  }
-
 (* The model serving predictions right now: the recalibrator's atomically
    swapped coefficients when enabled, the configured model otherwise. *)
 let current_model t =
@@ -199,24 +139,30 @@ let current_model t =
   | Some r -> Cote.Recalibrate.model r
 
 let stats_json t ~workers =
-  let s = snapshot t in
+  let n a = J.int (Atomic.get a) in
+  let in_flight_s = Obs.Lock.with_lock t.lock (fun () -> t.in_flight_s) in
+  let refits =
+    match t.recal with
+    | None -> 0
+    | Some r -> (Cote.Recalibrate.snapshot r).Cote.Recalibrate.sn_refits
+  in
   J.Obj
     ([
-      ("requests", J.int s.st_requests);
-      ("admitted", J.int s.st_admitted);
-      ("rejected", J.int s.st_rejected);
-      ("cancelled", J.int s.st_cancelled);
-      ("compiles", J.int s.st_compiles);
-      ("estimates", J.int s.st_estimates);
-      ("errors", J.int s.st_errors);
-      ("downgrades", J.int s.st_downgrades);
-      ("plan_hits", J.int s.st_plan_hits);
-      ("refits", J.int s.st_refits);
-      ("regime_dp", J.int s.st_regime_dp);
-      ("regime_greedy", J.int s.st_regime_greedy);
-      ("regime_fallbacks", J.int s.st_regime_fallbacks);
-      ("queue_depth", J.int s.st_queue_depth);
-      ("in_flight_s", J.Num s.st_in_flight_s);
+      ("requests", n t.n_requests);
+      ("admitted", n t.n_admitted);
+      ("rejected", n t.n_rejected);
+      ("cancelled", n t.n_cancelled);
+      ("compiles", n t.n_compiles);
+      ("estimates", n t.n_estimates);
+      ("errors", n t.n_errors);
+      ("downgrades", n t.n_downgrades);
+      ("plan_hits", n t.n_plan_hits);
+      ("refits", J.int refits);
+      ("regime_dp", n t.n_regime_dp);
+      ("regime_greedy", n t.n_regime_greedy);
+      ("regime_fallbacks", n t.n_regime_fallbacks);
+      ("queue_depth", J.int (Sched.length t.sched));
+      ("in_flight_s", J.Num in_flight_s);
       ("mode", J.Str (Sched.mode_string (Sched.mode t.sched)));
       ( "helpers",
         J.int (match t.cfg.helpers with None -> 0 | Some p -> Qopt_par.Pool.helpers p) );
@@ -235,17 +181,13 @@ let stats_json t ~workers =
 (* ------------------------------------------------------------------ *)
 
 (* The shared COTE pass under this server's levels, downgrade threshold
-   and budget, with its downgrades counted. *)
+   and budget, with its downgrade steps counted. *)
 let evaluate t ~key block =
   let ev =
     Frontdoor.evaluate t.cfg.env ~model:(current_model t) ~levels:t.cfg.levels
       ~downgrade_s:t.cfg.downgrade_s ~budget:t.cfg.budget t.cache ~key block
   in
-  let downgrades = ev.Frontdoor.ev_choice.Level.downgrades in
-  if downgrades > 0 then begin
-    Obs.Counter.incr m_downgrades;
-    ignore (Atomic.fetch_and_add t.n_downgrades downgrades)
-  end;
+  ignore (Atomic.fetch_and_add t.n_downgrades ev.Frontdoor.ev_choice.Level.downgrades);
   ev
 
 (* ------------------------------------------------------------------ *)
@@ -258,7 +200,6 @@ let release t job =
 
 let cancel_job t job reason =
   release t job;
-  Obs.Counter.incr m_cancelled;
   Atomic.incr t.n_cancelled;
   job.j_send
     (Proto.R_cancelled
@@ -310,7 +251,6 @@ let complete t job ~now ~tag ~elapsed_s best meta =
     in
     Cote.Plan_cache.store pc ~key:job.j_key job.j_block ~plan (Proto.compile_tail hit)
   | _ -> ());
-  Obs.Counter.incr m_compiles;
   Obs.Histo.observe m_latency (Timer.monotonic_now () -. job.j_enqueued);
   (* Model-vs-actual, not refined-vs-actual: the histogram is the drift
      evidence, so a stmt-cache hit must not flatter it. *)
@@ -328,6 +268,10 @@ let complete t job ~now ~tag ~elapsed_s best meta =
            ~predicted_s:job.j_predicted_s ~queue_s:(now -. job.j_enqueued)
            ~cache_hit:job.j_cache_hit ~plan_cached:false ))
 
+(* The spanning-tree fallback runs one deterministic sweep, and its time
+   prediction assumes the same. *)
+let greedy_restarts = 0
+
 (* A compile served by the spanning-tree regime — chosen up front (Greedy)
    or as the mid-compile rescue of a DP pass that blew its budget
    (Dp_budget_fallback).  Actuals are recorded under the "greedy" statement
@@ -337,7 +281,7 @@ let complete t job ~now ~tag ~elapsed_s best meta =
 let run_fallback t job ~now ~interrupt regime =
   let fb =
     O.Optimizer.optimize_fallback t.cfg.env ~interrupt
-      ~restarts:t.cfg.greedy_restarts job.j_block
+      ~restarts:greedy_restarts job.j_block
   in
   complete t job ~now ~tag:"greedy" ~elapsed_s:fb.O.Optimizer.fb_elapsed
     fb.O.Optimizer.fb_best
@@ -351,7 +295,6 @@ let run_fallback t job ~now ~interrupt regime =
 
 let job_error t job e =
   release t job;
-  Obs.Counter.incr m_errors;
   Atomic.incr t.n_errors;
   job.j_send (Proto.R_error { id = job.j_id; message = Printexc.to_string e })
 
@@ -392,12 +335,11 @@ and run_dp t job ~now ~interrupt =
            a stmt-cache-refined estimate would hide exactly the drift the
            detector exists to catch. *)
         ignore
-          (Cote.Recalibrate.observe recal ~level:job.j_level
+          (Cote.Recalibrate.observe recal
              ~nljn:(float_of_int r.O.Optimizer.generated.O.Memo.nljn)
              ~mgjn:(float_of_int r.O.Optimizer.generated.O.Memo.mgjn)
              ~hsjn:(float_of_int r.O.Optimizer.generated.O.Memo.hsjn)
-             ~joins:(float_of_int r.O.Optimizer.joins)
-             ~predicted_s:job.j_model_s ~elapsed_s:r.O.Optimizer.elapsed ()));
+             ~predicted_s:job.j_model_s ~elapsed_s:r.O.Optimizer.elapsed));
       complete t job ~now ~tag:job.j_level ~elapsed_s:r.O.Optimizer.elapsed
         r.O.Optimizer.best
         {
@@ -411,7 +353,6 @@ and run_dp t job ~now ~interrupt =
   | exception O.Budget.Exceeded _ -> (
     (* The estimate said DP fits, the MEMO said otherwise: rescue the
        compile with the polynomial regime instead of failing it. *)
-    Cote.Regime.record_fallback ();
     Atomic.incr t.n_regime_fallbacks;
     match run_fallback t job ~now ~interrupt Cote.Regime.Dp_budget_fallback with
     | () -> ()
@@ -423,69 +364,69 @@ and run_dp t job ~now ~interrupt =
 (* Connection handling (threads on the main domain)                    *)
 (* ------------------------------------------------------------------ *)
 
-(* [in_flight_s] is the estimated in-flight seconds snapshotted inside
-   the same critical section that made the rejection decision — the
-   retry-after hint must describe the state the client was rejected
-   against, not a later reading. *)
-let reject t conn req_id ~estimate_s ~in_flight_s reason =
-  Obs.Counter.incr m_rejected;
-  Atomic.incr t.n_rejected;
-  Frontdoor.send conn
-    (Proto.R_rejected
-       {
-         id = req_id;
-         reason = Admission.reason_string reason;
-         estimate_us = estimate_s *. 1e6;
-         retry_after_us =
-           Option.map
-             (fun s -> s *. 1e6)
-             (Admission.retry_after_s reason ~in_flight_s);
-       })
-
-(* A plan-cache hit bypasses optimization entirely: no COTE pass, no
-   worker, no statement-cache traffic.  Admission still runs — with a ~0
-   estimate, so hits pass ceilings that reject cold compiles — and the
-   reply is the stored one, encoded at store time, under this id. *)
-let serve_plan_hit t conn req_id ~arrival tail =
-  let decision =
-    (* Sched.length is lock-free, so this critical section is just the
-       shutdown flag, the in-flight float and the ceiling arithmetic.  A
-       rejection carries the in-flight snapshot out for the retry hint. *)
+(* The one admission gate, for cold compiles and plan-cache hits alike:
+   the decision and the [in_flight_s] reservation share one critical
+   section (Sched.length is lock-free, so it holds just the shutdown flag,
+   the in-flight float and the ceiling arithmetic).  A rejection is
+   answered here, with the retry-after hint computed from the in-flight
+   seconds the decision saw, not a later reading.  [true] when admitted;
+   the caller owns the reservation from then on. *)
+let admit t conn req_id ~estimate_s =
+  match
     Obs.Lock.with_lock t.lock (fun () ->
         if t.shutting then Error (Admission.Shutting_down, t.in_flight_s)
         else
           match
             Admission.decide t.cfg.admission ~in_flight_s:t.in_flight_s
-              ~queued:(Sched.length t.sched) ~estimate_s:0.0
+              ~queued:(Sched.length t.sched) ~estimate_s
           with
           | Error r -> Error (r, t.in_flight_s)
-          | Ok () -> Ok ())
-  in
-  (match decision with
+          | Ok () ->
+            t.in_flight_s <- t.in_flight_s +. estimate_s;
+            Ok ())
+  with
   | Ok () ->
     Atomic.incr t.n_admitted;
-    Atomic.incr t.n_plan_hits
-  | Error _ -> ());
-  match decision with
+    true
   | Error (reason, in_flight_s) ->
-    reject t conn req_id ~estimate_s:0.0 ~in_flight_s reason
-  | Ok () ->
-    Obs.Counter.incr m_admitted;
+    Atomic.incr t.n_rejected;
+    Frontdoor.send conn
+      (Proto.R_rejected
+         {
+           id = req_id;
+           reason = Admission.reason_string reason;
+           estimate_us = estimate_s *. 1e6;
+           retry_after_us =
+             Option.map
+               (fun s -> s *. 1e6)
+               (Admission.retry_after_s reason ~in_flight_s);
+         });
+    false
+
+(* A plan-cache hit bypasses optimization entirely: no COTE pass, no
+   worker, no statement-cache traffic.  Admission still runs — with a 0
+   estimate, so hits pass ceilings that reject cold compiles and reserve
+   nothing — and the reply is the stored one, encoded at store time,
+   under this id. *)
+let serve_plan_hit t conn req_id ~arrival tail =
+  if admit t conn req_id ~estimate_s:0.0 then begin
+    Atomic.incr t.n_plan_hits;
     Obs.Histo.observe m_latency (Timer.monotonic_now () -. arrival);
     Frontdoor.send_encoded conn (Proto.encode_compile ~id:req_id tail)
+  end
 
 (* The greedy regime's prediction needs nothing but the join graph: both
    features are summed over all blocks, matching what
    [Optimizer.optimize_fallback] will report. *)
-let greedy_predicted t block =
+let greedy_predicted block =
   let quantifiers = ref 0 and edges = ref 0 in
   O.Query_block.iter_blocks
     (fun b ->
       quantifiers := !quantifiers + O.Query_block.n_quantifiers b;
       edges := !edges + O.Spanning_tree.edge_count b)
     block;
-  Cote.Greedy_model.predict t.cfg.greedy_model ~quantifiers:!quantifiers
-    ~edges:!edges ~restarts:t.cfg.greedy_restarts
+  Cote.Greedy_model.predict Cote.Greedy_model.default ~quantifiers:!quantifiers
+    ~edges:!edges ~restarts:greedy_restarts
 
 let compile_cold t ~workers conn req_id ~arrival ~key ~estimate_hint_s block
     deadline_ms =
@@ -525,7 +466,7 @@ let compile_cold t ~workers conn req_id ~arrival ~key ~estimate_hint_s block
             ev.Frontdoor.ev_cache_hit )
       | exception O.Budget.Exceeded _ -> None)
   in
-  let greedy_s = greedy_predicted t block in
+  let greedy_s = greedy_predicted block in
   let decision =
     Cote.Regime.decide ?deadline_s
       ~dp_s:(Option.map (fun (_, _, p, _, _) -> p) dp_choice)
@@ -550,29 +491,7 @@ let compile_cold t ~workers conn req_id ~arrival ~key ~estimate_hint_s block
         cached <> None,
         Cote.Regime.Greedy )
   in
-  let decision =
-    Obs.Lock.with_lock t.lock (fun () ->
-        if t.shutting then Error (Admission.Shutting_down, t.in_flight_s)
-        else
-          match
-            Admission.decide t.cfg.admission ~in_flight_s:t.in_flight_s
-              ~queued:(Sched.length t.sched) ~estimate_s:predicted_s
-          with
-          | Error r -> Error (r, t.in_flight_s)
-          | Ok () ->
-            (* The reservation must land inside the same critical section
-               as the decision; the pure admitted tally need not. *)
-            t.in_flight_s <- t.in_flight_s +. predicted_s;
-            Ok ())
-  in
-  (match decision with
-  | Ok () -> Atomic.incr t.n_admitted
-  | Error _ -> ());
-  match decision with
-  | Error (reason, in_flight_s) ->
-    reject t conn req_id ~estimate_s:predicted_s ~in_flight_s reason
-  | Ok () ->
-    Obs.Counter.incr m_admitted;
+  if admit t conn req_id ~estimate_s:predicted_s then begin
     let job =
       {
         j_id = req_id;
@@ -597,6 +516,7 @@ let compile_cold t ~workers conn req_id ~arrival ~key ~estimate_hint_s block
       (* The scheduler closed between the admission decision and the push:
          shutdown won the race, so account and answer like a rejection. *)
       cancel_job t job "shutdown"
+  end
 
 let handle_compile t ~workers conn ~id ~sql ~schema ~deadline_ms ~estimate_hint_s =
   let arrival = Timer.monotonic_now () in
@@ -637,14 +557,12 @@ let initiate_shutdown t =
    {!Frontdoor.serve}, counted by [run]'s [on_error]. *)
 let handle t ~workers conn req =
   Atomic.incr t.n_requests;
-  Obs.Counter.incr m_requests;
   match req with
   | Proto.Estimate { id; sql; schema } ->
     let p =
       Frontdoor.prepare ?shapes:t.shapes ~who:"server" t.cfg.schemas ~id ~sql ~schema
     in
     let ev = evaluate t ~key:p.Frontdoor.p_key p.Frontdoor.p_block in
-    Obs.Counter.incr m_estimates;
     Atomic.incr t.n_estimates;
     Frontdoor.send conn (Frontdoor.estimate_reply id ev)
   | Proto.Compile { id; sql; schema; deadline_ms; estimate_hint_s } ->
@@ -707,9 +625,7 @@ let run ?(on_ready = fun () -> ()) cfg =
       Frontdoor.serve ~listen:cfg.listen ~on_ready
         ~shutting:(fun () -> Obs.Lock.with_lock t.lock (fun () -> t.shutting))
         ~handle:(fun conn req -> handle t ~workers conn req)
-        ~on_error:(fun () ->
-          Atomic.incr t.n_errors;
-          Obs.Counter.incr m_errors)
+        ~on_error:(fun () -> Atomic.incr t.n_errors)
         ~tick:(fun () ->
           Qopt_par.Crew.retire_idle workers;
           Option.iter Qopt_par.Pool.retire_idle cfg.helpers)

@@ -27,7 +27,24 @@
     and optimizer metrics shard cleanly.  A statement cache ({!Cote.Stmt_cache} [~shared:true]) is
     shared across all connections: recorded actual compile times refine
     the admission estimate for queries with the same
-    template key ({!Frontdoor.prepared}). *)
+    template key ({!Frontdoor.prepared}).
+
+    The spanning-tree regime is priced by {!Cote.Greedy_model.default}
+    and runs one deterministic sweep (no randomized restarts).
+
+    Each server event is counted once, per server, in the field of the
+    [stats] reply that names it: [requests] (every request, [stats] polls
+    included), [admitted], [rejected], [cancelled], [compiles],
+    [estimates], [errors], [plan_hits], [downgrades] (downgrade steps, a
+    request can take several), [regime_dp], [regime_greedy] and
+    [regime_fallbacks].  After any sequence of requests, once every
+    reply is in, [requests] is the sum of [estimates], [errors],
+    [compiles], [plan_hits], [rejected], [cancelled] and the [stats],
+    [shutdown] requests, and [admitted] is [compiles + plan_hits +
+    cancelled] plus the errors of admitted compiles.  The [metrics]
+    object carries the timing distributions ([server.queue_wait_s],
+    [server.latency_s], [server.estimate_err_pct]) and the
+    [server.queue_depth] gauge. *)
 
 module O = Qopt_optimizer
 
@@ -91,13 +108,6 @@ type config = {
           the MEMO without bound; the compile is then served by the
           spanning-tree regime ({!Cote.Regime}).  Default
           {!O.Budget.unlimited}. *)
-  greedy_model : Cote.Greedy_model.t;
-      (** fitted time model for the spanning-tree fallback; its prediction
-          competes with the DP prediction against the deadline in regime
-          selection.  Default {!Cote.Greedy_model.default}. *)
-  greedy_restarts : int;
-      (** randomized restarts per fallback compile (seed-deterministic).
-          Default 0. *)
   helpers : Qopt_par.Pool.t option;
       (** persistent helper domains that generate each DP compile's plans
           level by level beside the worker ({!O.Optimizer.optimize}
@@ -115,28 +125,8 @@ val default_config :
   unit ->
   config
 (** Serial env, 1 worker, SJF, unlimited admission, {!Level.default_levels},
-    no downgrade threshold, no default deadline, unlimited budget, default
-    greedy model, 0 restarts, no helpers. *)
-
-type stats = {
-  st_requests : int;
-  st_admitted : int;
-  st_rejected : int;
-  st_cancelled : int;
-  st_compiles : int;
-  st_estimates : int;
-  st_errors : int;
-  st_downgrades : int;
-  st_plan_hits : int;  (** compile replies served from the plan cache *)
-  st_refits : int;  (** recalibration refits that swapped the model *)
-  st_regime_dp : int;  (** admissions that chose the DP regime *)
-  st_regime_greedy : int;  (** admissions that chose the greedy regime *)
-  st_regime_fallbacks : int;
-      (** DP compiles that blew the budget mid-flight and were rescued by
-          the spanning-tree fallback *)
-  st_queue_depth : int;
-  st_in_flight_s : float;  (** summed predicted seconds of admitted work *)
-}
+    no downgrade threshold, no default deadline, unlimited budget, no
+    helpers. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Serves ({!Frontdoor.serve}) until a [shutdown] request arrives, then

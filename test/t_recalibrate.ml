@@ -1,7 +1,7 @@
 (* Online recalibration (ROADMAP item 3): the drift detector only fires
    on real drift, a fired detector actually repairs the model, degenerate
    windows can never lose the serving coefficients, and the knobs
-   (interval, window bound, decay) do what they say. *)
+   (interval, window bound) do what they say. *)
 
 module R = Cote.Recalibrate
 module TM = Cote.Time_model
@@ -35,9 +35,9 @@ let feed ?(pool = feature_pool) ?(n = 1) ~truth recal i0 =
     let joins = (nljn +. mgjn +. hsjn) /. 10.0 in
     let predict m = TM.predict_counts m ~nljn ~mgjn ~hsjn ~joins in
     if
-      R.observe recal ~level:"full" ~nljn ~mgjn ~hsjn ~joins
+      R.observe recal ~nljn ~mgjn ~hsjn
         ~predicted_s:(predict (R.model recal))
-        ~elapsed_s:(predict truth) ()
+        ~elapsed_s:(predict truth)
     then incr fired
   done;
   !fired
@@ -129,37 +129,17 @@ let suite =
     t "join-free and zero-elapsed observations carry no signal" (fun () ->
         let recal = R.create ~config ~model:model0 () in
         let fired =
-          R.observe recal ~nljn:0.0 ~mgjn:0.0 ~hsjn:0.0 ~joins:0.0
-            ~predicted_s:0.0 ~elapsed_s:0.01 ()
+          R.observe recal ~nljn:0.0 ~mgjn:0.0 ~hsjn:0.0 ~predicted_s:0.0
+            ~elapsed_s:0.01
         in
         Alcotest.(check bool) "zero-feature skipped" false fired;
         let fired =
-          R.observe recal ~nljn:10.0 ~mgjn:5.0 ~hsjn:5.0 ~joins:2.0
-            ~predicted_s:1e-4 ~elapsed_s:0.0 ()
+          R.observe recal ~nljn:10.0 ~mgjn:5.0 ~hsjn:5.0 ~predicted_s:1e-4
+            ~elapsed_s:0.0
         in
         Alcotest.(check bool) "zero-elapsed skipped" false fired;
         Alcotest.(check int) "nothing recorded" 0
           (R.snapshot recal).R.sn_observations);
-    t "exponential decay favours the recent regime" (fun () ->
-        let truth = scale 8.0 model0 in
-        (* Threshold high enough that the detector never fires on its own:
-           the window deliberately mixes 12 old-regime with 12 new-regime
-           observations, then refit_now must side with the recent ones
-           because decay 0.5 leaves the old rows ~2^-12 of their weight. *)
-        let cfg =
-          {
-            config with
-            R.window = 24;
-            drift_threshold_pct = 1e9;
-            decay = 0.5;
-          }
-        in
-        let recal = R.create ~config:cfg ~model:model0 () in
-        ignore (feed ~truth:model0 recal 0 ~n:12);
-        ignore (feed ~truth recal 12 ~n:12);
-        Alcotest.(check bool) "manual refit swaps" true (R.refit_now recal);
-        Alcotest.(check bool) "fit tracks the new regime" true
-          (mean_error_against ~truth (R.model recal) < 10.0));
     t "refit clears the drift statistic for the new model" (fun () ->
         let truth = scale 5.0 model0 in
         let recal = R.create ~config ~model:model0 () in
@@ -178,8 +158,6 @@ let suite =
         let bad f = Alcotest.check_raises "rejected" (Invalid_argument f) in
         bad "Recalibrate.create: window < 1" (fun () ->
             ignore (R.create ~config:{ config with R.window = 0 } ~model:model0 ()));
-        bad "Recalibrate.create: decay outside (0, 1]" (fun () ->
-            ignore (R.create ~config:{ config with R.decay = 0.0 } ~model:model0 ()));
         bad "Recalibrate.create: drift_threshold_pct <= 0" (fun () ->
             ignore
               (R.create

@@ -442,6 +442,154 @@ let served_c_mgjn doc =
 (* The big compile is on the worker (not queued) and nothing else is. *)
 let big_is_running doc = stat doc "queue_depth" = 0 && statf doc "in_flight_s" > 0.0
 
+(* Request sequences for the stats reconciliation property.  The
+   templates span one to five tables: under [reconcile_config] the model
+   downgrades the four- and five-table ones, and the five-table one is
+   still over the per-request ceiling and rejected (a recorded actual can
+   push another template over it too).  A repeated template is a
+   plan-cache hit, and a [deadline_ms = 0] compile is usually cancelled
+   at dequeue but may be compiled or served from the cache. *)
+type reconcile_op =
+  | Estimate of int * int  (** template, literal *)
+  | Compile of int * int * bool  (** template, literal, zero deadline *)
+  | Bad_estimate
+  | Bad_compile
+  | Poll
+
+let reconcile_templates =
+  [|
+    "SELECT s.s_store_name FROM store s WHERE s.s_market_id = ";
+    "SELECT ss.ss_quantity FROM store_sales ss, date_dim d WHERE \
+     ss.ss_sold_date_sk = d.d_date_sk AND d.d_year = ";
+    "SELECT i.i_category_id FROM item i, store_sales ss, date_dim d WHERE \
+     ss.ss_item_sk = i.i_item_sk AND ss.ss_sold_date_sk = d.d_date_sk AND \
+     d.d_year = ";
+    "SELECT i.i_category_id FROM item i, store_sales ss, date_dim d, store s \
+     WHERE ss.ss_item_sk = i.i_item_sk AND ss.ss_sold_date_sk = d.d_date_sk \
+     AND ss.ss_store_sk = s.s_store_sk AND d.d_year = ";
+    "SELECT i.i_category_id FROM item i, store_sales ss, date_dim d, store s, \
+     customer c WHERE ss.ss_item_sk = i.i_item_sk AND ss.ss_sold_date_sk = \
+     d.d_date_sk AND ss.ss_store_sk = s.s_store_sk AND ss.ss_customer_sk = \
+     c.c_customer_sk AND d.d_year = ";
+  |]
+
+let reconcile_sql tpl lit = reconcile_templates.(tpl) ^ string_of_int lit
+
+let reconcile_config cfg =
+  {
+    cfg with
+    Srv.Server.plan_cache = Some Cote.Plan_cache.default_config;
+    downgrade_s = Some 2e-4;
+    admission =
+      { Srv.Admission.per_request_s = 4e-4; aggregate_s = infinity; max_queue = max_int };
+  }
+
+let reconcile_op_gen =
+  let open QCheck2.Gen in
+  let tpl = int_bound (Array.length reconcile_templates - 1) in
+  let lit = int_range 1998 2000 in
+  frequency
+    [
+      (3, map2 (fun t l -> Estimate (t, l)) tpl lit);
+      ( 6,
+        map3
+          (fun t l z -> Compile (t, l, z))
+          tpl lit
+          (frequency [ (3, pure false); (1, pure true) ]) );
+      (1, pure Bad_estimate);
+      (1, pure Bad_compile);
+      (2, pure Poll);
+    ]
+
+let show_reconcile_op = function
+  | Estimate (t, l) -> Printf.sprintf "estimate %d/%d" t l
+  | Compile (t, l, z) ->
+    Printf.sprintf "compile %d/%d%s" t l (if z then " deadline 0" else "")
+  | Bad_estimate -> "bad estimate"
+  | Bad_compile -> "bad compile"
+  | Poll -> "stats"
+
+(* After every [stats] poll — the sequence's own and a last one — every
+   request is in exactly one outcome counter, every admission ended in a
+   compile, a plan hit, a cancellation or a compile error, and each
+   counter equals the replies of its kind the client received.  None of
+   the three depends on which way a timing-sensitive request went. *)
+let stats_reconcile_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:20
+       ~name:"stats reconcile exactly after any request sequence"
+       ~print:(fun ops -> String.concat "; " (List.map show_reconcile_op ops))
+       QCheck2.Gen.(list_size (int_range 1 25) reconcile_op_gen)
+       (fun ops ->
+         with_server ~configure:reconcile_config (fun addr ->
+             let c = Srv.Client.connect addr in
+             Fun.protect
+               ~finally:(fun () -> Srv.Client.close c)
+               (fun () ->
+                 (* Replies received, by the stats counter they land in;
+                    [job_errors] are errors of admitted compiles. *)
+                 let seen = Hashtbl.create 8 in
+                 let got kind = Option.value ~default:0 (Hashtbl.find_opt seen kind) in
+                 let saw kind = Hashtbl.replace seen kind (got kind + 1) in
+                 let polls = ref 0 in
+                 let send ~admissible req =
+                   match request_exn c req with
+                   | Srv.Proto.R_estimate _ -> saw "estimates"
+                   | Srv.Proto.R_compile (_, b) ->
+                     saw (if b.Srv.Proto.c_plan_cached then "plan_hits" else "compiles")
+                   | Srv.Proto.R_rejected _ -> saw "rejected"
+                   | Srv.Proto.R_cancelled _ -> saw "cancelled"
+                   | Srv.Proto.R_error _ ->
+                     saw "errors";
+                     if admissible then saw "job_errors"
+                   | r ->
+                     Alcotest.failf "unexpected reply %s"
+                       (J.to_string (Srv.Proto.reply_to_json r))
+                 in
+                 let compile ?(admissible = true) ?deadline_ms sql =
+                   send ~admissible
+                     (Srv.Proto.Compile
+                        {
+                          id = Srv.Client.fresh_id c;
+                          sql;
+                          schema = None;
+                          deadline_ms;
+                          estimate_hint_s = None;
+                        })
+                 in
+                 let estimate sql =
+                   send ~admissible:false
+                     (Srv.Proto.Estimate { id = Srv.Client.fresh_id c; sql; schema = None })
+                 in
+                 let poll () =
+                   incr polls;
+                   match request_exn c (Srv.Proto.Stats { id = Srv.Client.fresh_id c }) with
+                   | Srv.Proto.R_stats (_, doc) ->
+                     let f = stat doc in
+                     Alcotest.(check int) "requests = outcomes + polls"
+                       (f "estimates" + f "errors" + f "compiles" + f "plan_hits"
+                      + f "rejected" + f "cancelled" + !polls)
+                       (f "requests");
+                     Alcotest.(check int) "admitted = compiles + hits + cancelled + job errors"
+                       (f "compiles" + f "plan_hits" + f "cancelled" + got "job_errors")
+                       (f "admitted");
+                     List.iter
+                       (fun k -> Alcotest.(check int) k (got k) (f k))
+                       [ "estimates"; "errors"; "compiles"; "plan_hits"; "rejected"; "cancelled" ]
+                   | _ -> Alcotest.fail "expected stats reply"
+                 in
+                 List.iter
+                   (function
+                     | Estimate (t, l) -> estimate (reconcile_sql t l)
+                     | Compile (t, l, z) ->
+                       compile ?deadline_ms:(if z then Some 0.0 else None) (reconcile_sql t l)
+                     | Bad_estimate -> estimate "SELECT x.a FROM no_such_table x"
+                     | Bad_compile -> compile ~admissible:false "SELECT ' FROM store s"
+                     | Poll -> poll ())
+                   ops;
+                 poll ();
+                 true))))
+
 let server_tests =
   [
     t "estimate over the socket equals the direct library call" (fun () ->
@@ -766,65 +914,7 @@ let server_tests =
                   Alcotest.(check int) "compiles" 1 (field "compiles");
                   Alcotest.(check int) "rejected" 0 (field "rejected")
                 | _ -> Alcotest.fail "expected stats reply")));
-    t "stats reconcile exactly after a mixed burst" (fun () ->
-        (* The counters live in per-event atomics (not one mutex-guarded
-           block), so the reconciliation must still be exact: every request
-           lands in exactly one outcome bucket, and admitted splits into
-           cold compiles + plan hits with nothing lost or double-counted. *)
-        with_server
-          ~configure:(fun cfg ->
-            { cfg with Srv.Server.plan_cache = Some Cote.Plan_cache.default_config })
-          (fun addr ->
-            let c = Srv.Client.connect addr in
-            Fun.protect
-              ~finally:(fun () -> Srv.Client.close c)
-              (fun () ->
-                let estimate sql =
-                  ignore
-                    (request_exn c
-                       (Srv.Proto.Estimate
-                          { id = Srv.Client.fresh_id c; sql; schema = None }))
-                in
-                let compile sql =
-                  ignore
-                    (request_exn c
-                       (Srv.Proto.Compile
-                          {
-                            id = Srv.Client.fresh_id c;
-                            sql;
-                            schema = None;
-                            deadline_ms = None;
-                            estimate_hint_s = None;
-                          }))
-                in
-                for _ = 1 to 3 do
-                  estimate small_sql
-                done;
-                estimate "SELECT x.a FROM no_such_table x";
-                estimate "SELECT ' FROM store s";
-                compile small_sql;
-                (* Structurally identical: served from the plan cache. *)
-                compile small_sql;
-                compile big_sql;
-                match request_exn c (Srv.Proto.Stats { id = Srv.Client.fresh_id c }) with
-                | Srv.Proto.R_stats (_, doc) ->
-                  let f = stat doc in
-                  Alcotest.(check int) "estimates" 3 (f "estimates");
-                  Alcotest.(check int) "errors" 2 (f "errors");
-                  Alcotest.(check int) "compiles" 2 (f "compiles");
-                  Alcotest.(check int) "plan hits" 1 (f "plan_hits");
-                  Alcotest.(check int) "admitted = compiles + plan hits"
-                    (f "compiles" + f "plan_hits")
-                    (f "admitted");
-                  Alcotest.(check int) "rejected" 0 (f "rejected");
-                  Alcotest.(check int) "cancelled" 0 (f "cancelled");
-                  (* Every request accounted for exactly once, including
-                     this stats poll itself. *)
-                  Alcotest.(check int) "requests reconcile"
-                    (f "estimates" + f "errors" + f "compiles" + f "plan_hits"
-                    + f "rejected" + f "cancelled" + 1)
-                    (f "requests")
-                | _ -> Alcotest.fail "expected stats reply")));
+    stats_reconcile_prop;
     t "bad SQL over the socket is a structured error reply" (fun () ->
         with_server (fun addr ->
             let c = Srv.Client.connect addr in
@@ -1187,7 +1277,21 @@ let plan_cache_tests =
               (Printf.sprintf "id %d" id)
               (J.to_string (Srv.Proto.reply_to_json (Srv.Proto.R_compile (id, body))))
               (Srv.Proto.encode_compile ~id tail))
-          [ 0; 7; 1_000_000_000 ];
+          (* Both sides of the 1e15 bound where [J] stops printing digits,
+             and the ints a float cannot hold. *)
+          [
+            0;
+            1;
+            -1;
+            7;
+            1_000_000_000;
+            999_999_999_999_999;
+            -999_999_999_999_999;
+            1_000_000_000_000_000;
+            -1_000_000_000_000_000;
+            max_int;
+            min_int;
+          ];
         (* Over the socket: the raw bytes of a hit are the encoding of the
            reply they parse to. *)
         with_plan_cache_server (fun addr ->
