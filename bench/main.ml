@@ -592,6 +592,76 @@ let plan_cache_rows () =
   List.iter (fun (name, v) -> Format.printf "%-36s %16.2f@." name v) rows;
   rows
 
+(* What a template that never repeats leaves behind in a plan-cache
+   server, the layer number behind the serving benchmark's giant
+   peak_rss_mb: 40 distinct giant-schema stars (the MEMO cap
+   sends each to the spanning-tree regime, as servebench's giant stars
+   go), one request each, with the live heap measured after a full major
+   collection before and after.  Reported, not gated.
+
+     server/retained-kb-per-one-off — live KB the server keeps per
+                                      one-off request *)
+let one_off_retention_rows () =
+  let module Srv = Qopt_server in
+  let n = 40 in
+  let star i =
+    (* Center g[i] and the tables after it, 20 to 50 of them as in
+       servebench's giant stars: a distinct template for every i. *)
+    let size = 20 + (10 * (i mod 4)) in
+    let t k = Printf.sprintf "g%d a%d" ((i + k) mod 62) k in
+    Printf.sprintf "SELECT a0.v1 FROM %s WHERE %s AND a0.v2 = 3 ORDER BY a0.v1"
+      (String.concat ", " (List.init size t))
+      (String.concat " AND "
+         (List.init (size - 1) (fun k -> Printf.sprintf "a0.j1 = a%d.j1" (k + 1))))
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let kb =
+    with_server
+      (fun cfg ->
+        {
+          cfg with
+          Srv.Server.schemas = cfg.Srv.Server.schemas @ [ ("giant", W.Giant.schema ()) ];
+          plan_cache = Some Cote.Plan_cache.default_config;
+          budget = O.Budget.make ~max_memo_entries:600 ();
+        })
+      (fun addr ->
+        let c = Srv.Client.connect addr in
+        Fun.protect
+          ~finally:(fun () -> Srv.Client.close c)
+          (fun () ->
+            let compile sql =
+              match
+                Srv.Client.request c
+                  (Srv.Proto.Compile
+                     {
+                       id = Srv.Client.fresh_id c;
+                       sql;
+                       schema = Some "giant";
+                       deadline_ms = None;
+                       estimate_hint_s = None;
+                     })
+              with
+              | Some (Srv.Proto.R_compile _) -> ()
+              | _ -> failwith "one_off_retention_rows: expected a compile reply"
+            in
+            (* One warm-up request spawns the worker and fills the
+               process-wide tables before the baseline. *)
+            compile (star n);
+            let w0 = live_words () in
+            for i = 0 to n - 1 do
+              compile (star i)
+            done;
+            let w1 = live_words () in
+            float_of_int ((w1 - w0) * (Sys.word_size / 8)) /. float_of_int n /. 1024.0))
+  in
+  let rows = [ ("server/retained-kb-per-one-off", kb) ] in
+  Format.printf "=== One-off retention (%d distinct giant stars, plan cache on) ===@." n;
+  List.iter (fun (name, v) -> Format.printf "%-36s %16.2f@." name v) rows;
+  rows
+
 (* Online recalibration under an induced cost-model perturbation: the
    server starts with every canned coefficient multiplied by 12 — the
    same model shape, wildly wrong magnitudes, exactly what a hardware
@@ -1047,6 +1117,7 @@ let () =
   let rows = rows @ server_rows () in
   Format.printf "@.";
   let rows = rows @ plan_cache_rows () in
+  let rows = rows @ one_off_retention_rows () in
   let rows = rows @ recalib_rows () in
   Format.printf "@.";
   let rows = rows @ fleet_rows () in

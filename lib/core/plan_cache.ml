@@ -40,21 +40,18 @@ type 'a entry = {
   e_envelope : (string * float * float) array;
       (* (pred signature, lo, hi), sorted — the validity region *)
   e_deps : (string * int) array;  (* dependent table, generation at store *)
-  mutable e_tick : int;  (* LRU clock value of the last touch *)
 }
 
 (* A shared cache is {!Striped} like {!Stmt_cache}; each stripe is a
-   self-contained cache — its own table, LRU clock, capacity share, and
+   self-contained cache — its own {!Striped.Lru} of its capacity share and
    its own copy of the per-table statistics generations.  Duplicating the
    generations per stripe keeps every lookup single-lock (no shared
    generation table to consult); {!bump_stats} walks the stripes one at a
    time, so a lookup racing a bump sees each stripe either before or
    after its flush — never a torn state within one stripe. *)
 type 'a stripe = {
-  tbl : (string, 'a entry) Hashtbl.t;
+  tbl : (string, 'a entry) Striped.Lru.t;
   gens : (string, int) Hashtbl.t;  (* per-table statistics generation *)
-  cap : int;  (* this stripe's share of cfg.capacity *)
-  mutable tick : int;
 }
 
 type 'a t = {
@@ -67,7 +64,7 @@ let create ?(shared = false) ?(config = default_config) () =
     cfg = config;
     strs =
       Striped.create ~shared ~capacity:config.capacity "plan_cache" (fun cap ->
-          { tbl = Hashtbl.create 64; gens = Hashtbl.create 16; cap; tick = 0 });
+          { tbl = Striped.Lru.create cap; gens = Hashtbl.create 16 });
   }
 
 (* Estimated selectivity of every local predicate across all blocks,
@@ -105,11 +102,7 @@ let dep_tables block =
 let generation_unlocked s name =
   Option.value ~default:0 (Hashtbl.find_opt s.gens name)
 
-let touch s e =
-  s.tick <- s.tick + 1;
-  e.e_tick <- s.tick
-
-let size t = Striped.fold t.strs (fun acc s -> acc + Hashtbl.length s.tbl) 0
+let size t = Striped.fold t.strs (fun acc s -> acc + Striped.Lru.length s.tbl) 0
 
 (* The size gauge needs a cross-stripe sweep; refresh it outside any
    stripe lock so no operation ever holds two locks. *)
@@ -126,11 +119,6 @@ let store t ?key block ~plan payload =
   in
   let deps = dep_tables block in
   Striped.with_key t.strs key (fun s ->
-      if
-        (not (Hashtbl.mem s.tbl key))
-        && Hashtbl.length s.tbl >= s.cap
-        && Striped.evict_lru s.tbl (fun e -> e.e_tick)
-      then Obs.Counter.incr m_evictions;
       let e =
         {
           e_plan = plan;
@@ -139,11 +127,9 @@ let store t ?key block ~plan payload =
           e_deps =
             Array.of_list
               (List.map (fun n -> (n, generation_unlocked s n)) deps);
-          e_tick = 0;
         }
       in
-      touch s e;
-      Hashtbl.replace s.tbl key e);
+      if Striped.Lru.replace s.tbl key e then Obs.Counter.incr m_evictions);
   set_size t
 
 let within_envelope sels env =
@@ -168,18 +154,18 @@ let lookup t ?key block =
   let sels = selectivities block in
   let outcome =
     Striped.with_key t.strs key (fun s ->
-        match Hashtbl.find_opt s.tbl key with
+        (* [find] touches the entry; an invalid one is removed anyway. *)
+        match Striped.Lru.find s.tbl key with
         | None ->
           Obs.Counter.incr m_misses;
           Miss
         | Some e -> (
           match revalidate e sels (generation_unlocked s) with
           | Some why ->
-            Hashtbl.remove s.tbl key;
+            Striped.Lru.remove s.tbl key;
             Obs.Counter.incr m_invalidations;
             Invalidated why
           | None ->
-            touch s e;
             Obs.Counter.incr m_hits;
             Hit { plan = e.e_plan; payload = e.e_payload }))
   in
@@ -192,14 +178,14 @@ let bump_stats t table =
       (fun acc s ->
         Hashtbl.replace s.gens table (generation_unlocked s table + 1);
         let victims =
-          Hashtbl.fold
+          Striped.Lru.fold
             (fun k e acc ->
               if Array.exists (fun (n, _) -> String.equal n table) e.e_deps
               then k :: acc
               else acc)
             s.tbl []
         in
-        List.iter (Hashtbl.remove s.tbl) victims;
+        List.iter (Striped.Lru.remove s.tbl) victims;
         acc + List.length victims)
       0
   in
@@ -216,4 +202,4 @@ let generation t name =
 
 let envelope t key =
   Striped.with_key t.strs key (fun s ->
-      Option.map (fun e -> Array.to_list e.e_envelope) (Hashtbl.find_opt s.tbl key))
+      Option.map (fun e -> Array.to_list e.e_envelope) (Striped.Lru.peek s.tbl key))

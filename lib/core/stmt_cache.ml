@@ -11,11 +11,17 @@ let m_size = Obs.Registry.gauge Obs.Registry.default "stmt_cache.size"
 
 (* A key is (tag, shape): the shape is the caller's key string — shared
    with the caller, never copied — or the block's {!signature}.  A shared
-   cache spreads the keys over {!Striped} tables. *)
-type t = (string option * string, float) Hashtbl.t Striped.t
+   cache spreads the keys over {!Striped} stripes, each a
+   {!Striped.Lru} bounded by its share of [capacity]. *)
+type t = (string option * string, float) Striped.Lru.t Striped.t
+
+(* Eight times the plan cache's default 512 entries (Plan_cache builds on
+   this module, so the figure is written out): room for every template of
+   a pool several plan caches wide, so refinement keeps its hits. *)
+let capacity = 4096
 
 let create ?(shared = false) () =
-  Striped.create ~shared ~capacity:max_int "stmt_cache" (fun _ -> Hashtbl.create 64)
+  Striped.create ~shared ~capacity "stmt_cache" Striped.Lru.create
 
 let pred_sig block p =
   let col (c : O.Colref.t) =
@@ -84,14 +90,21 @@ let lookup t ?tag ?key block =
      choice) outside the lock so concurrent lookups serialize only on
      their stripe's table probe. *)
   let key = key_of ?tag ?key block in
-  Striped.with_key t key (fun tbl ->
-      match Hashtbl.find_opt tbl key with
+  Striped.with_key t key (fun s ->
+      match Striped.Lru.find s key with
       | Some _ as hit ->
         Obs.Counter.incr m_hits;
         hit
       | None ->
         Obs.Counter.incr m_misses;
         None)
+
+(* Uncounted and untouched: the server asks it of a finished compile just
+   before recording, so it must move neither the hit rate nor the LRU
+   order. *)
+let mem t ?tag ?key block =
+  let key = key_of ?tag ?key block in
+  Striped.with_key t key (fun s -> Striped.Lru.mem s key)
 
 (* Refinement in one call: a recorded actual beats the model's estimate,
    the model's estimate stands when the cache has never seen the shape.
@@ -103,11 +116,11 @@ let refine t ?tag ?key block ~model_s =
   | Some seconds -> seconds
   | None -> model_s
 
-let size t = Striped.fold t (fun acc tbl -> acc + Hashtbl.length tbl) 0
+let size t = Striped.fold t (fun acc s -> acc + Striped.Lru.length s) 0
 
 let record t ?tag ?key block seconds =
   let key = key_of ?tag ?key block in
-  Striped.with_key t key (fun tbl -> Hashtbl.replace tbl key seconds);
+  Striped.with_key t key (fun s -> ignore (Striped.Lru.replace s key seconds));
   (* The size gauge sweeps every stripe; set it outside any stripe lock so
      a record never holds two locks at once. *)
   if !Obs.Control.on then Obs.Gauge.set m_size (float_of_int (size t))

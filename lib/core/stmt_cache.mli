@@ -14,6 +14,13 @@ module O = Qopt_optimizer
 
 type t
 
+val capacity : int
+(** The most [(tag, key)] pairs a cache holds: 4,096, eight times the
+    plan cache's default capacity.  A {!record} of a new pair into a full
+    stripe first evicts that stripe's least recently used pair (last
+    {!lookup} hit or {!record}), so a server that sees an unbounded
+    stream of one-off templates keeps a bounded cache. *)
+
 val create : ?shared:bool -> unit -> t
 (** [~shared:true] makes the cache safe to consult and update from
     multiple domains (e.g. under {!Qopt_par.Batch.run_batch} or the
@@ -44,9 +51,17 @@ val lookup : t -> ?tag:string -> ?key:string -> O.Query_block.t -> float option
     and the cache holds the caller's string instead of a copy.  A cache
     should be keyed one way throughout. *)
 
+val mem : t -> ?tag:string -> ?key:string -> O.Query_block.t -> bool
+(** Whether an actual is recorded under [?tag] and [?key].  Unlike
+    {!lookup} it is not counted as a hit or a miss and does not touch the
+    LRU order.  The compile server asks it before recording a finished
+    compile: a plan is stored in the plan cache only on the second
+    compile of a template (second-sight admission). *)
+
 val record : t -> ?tag:string -> ?key:string -> O.Query_block.t -> float -> unit
 (** Store a measured compile time under the same optional [?tag]
-    partition and [?key] as {!lookup}. *)
+    partition and [?key] as {!lookup}, evicting the stripe's least
+    recently used pair when it is full (see {!capacity}). *)
 
 val refine :
   t -> ?tag:string -> ?key:string -> O.Query_block.t -> model_s:float -> float

@@ -31,17 +31,60 @@ let fold t f init =
   done;
   !acc
 
-let evict_lru tbl tick =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, t) when t <= tick e -> acc
-        | _ -> Some (k, tick e))
-      tbl None
-  in
-  match victim with
-  | None -> false
-  | Some (k, _) ->
-    Hashtbl.remove tbl k;
-    true
+module Lru = struct
+  type 'v slot = {
+    v : 'v;
+    mutable last : int;  (* clock value of the last touch *)
+  }
+
+  type ('k, 'v) t = {
+    tbl : ('k, 'v slot) Hashtbl.t;
+    cap : int;
+    mutable clock : int;
+  }
+
+  let create cap = { tbl = Hashtbl.create (min cap 64); cap; clock = 0 }
+
+  let touch t s =
+    t.clock <- t.clock + 1;
+    s.last <- t.clock
+
+  let find t k =
+    match Hashtbl.find_opt t.tbl k with
+    | Some s ->
+      touch t s;
+      Some s.v
+    | None -> None
+
+  let peek t k = Option.map (fun s -> s.v) (Hashtbl.find_opt t.tbl k)
+
+  let mem t k = Hashtbl.mem t.tbl k
+
+  let length t = Hashtbl.length t.tbl
+
+  let remove t k = Hashtbl.remove t.tbl k
+
+  let fold f t acc = Hashtbl.fold (fun k s acc -> f k s.v acc) t.tbl acc
+
+  let evict t =
+    let victim =
+      Hashtbl.fold
+        (fun k s acc ->
+          match acc with
+          | Some (_, last) when last <= s.last -> acc
+          | _ -> Some (k, s.last))
+        t.tbl None
+    in
+    match victim with
+    | None -> false
+    | Some (k, _) ->
+      Hashtbl.remove t.tbl k;
+      true
+
+  let replace t k v =
+    let evicted = (not (Hashtbl.mem t.tbl k)) && Hashtbl.length t.tbl >= t.cap && evict t in
+    let s = { v; last = 0 } in
+    touch t s;
+    Hashtbl.replace t.tbl k s;
+    evicted
+end

@@ -1,4 +1,5 @@
-(** Stripe routing and locking shared by {!Stmt_cache} and {!Plan_cache}.
+(** Stripe routing, locking and bounded LRU stripes shared by {!Stmt_cache},
+    {!Plan_cache} and the compile server's statement text map.
 
     A striped map is an array of caller-owned stripe states.  A key's
     hash picks its stripe, so concurrent domains serialize only when they
@@ -31,7 +32,33 @@ val with_key : 'a t -> 'k -> ('a -> 'b) -> 'b
 val fold : 'a t -> ('acc -> 'a -> 'acc) -> 'acc -> 'acc
 (** Visit every stripe in index order, each under its own lock. *)
 
-val evict_lru : ('k, 'e) Hashtbl.t -> ('e -> int) -> bool
-(** The eviction rule of a bounded stripe: remove the entry with the
-    smallest [tick] (its last touch on the stripe's LRU clock).  [false]
-    when the table is empty. *)
+(** A bounded table evicted least recently used first: the state of one
+    bounded stripe.  Every cache on a striped map keeps one per stripe,
+    sized by the stripe's capacity {!share}, and adds only its own entry
+    payload.  Not synchronized: use it under {!with_key} or {!fold}. *)
+module Lru : sig
+  type ('k, 'v) t
+
+  val create : int -> ('k, 'v) t
+  (** An empty table holding at most the given number of pairs. *)
+
+  val find : ('k, 'v) t -> 'k -> 'v option
+  (** Look a key up and, when present, make it the most recently used. *)
+
+  val peek : ('k, 'v) t -> 'k -> 'v option
+  (** Look a key up without touching the LRU order. *)
+
+  val mem : ('k, 'v) t -> 'k -> bool
+  (** Membership, without touching the LRU order. *)
+
+  val replace : ('k, 'v) t -> 'k -> 'v -> bool
+  (** Bind a key and make it the most recently used.  A new key in a
+      full table first evicts the least recently used pair (last
+      {!find} or {!replace}); [true] when it did. *)
+
+  val remove : ('k, 'v) t -> 'k -> unit
+
+  val length : ('k, 'v) t -> int
+
+  val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
+end

@@ -248,34 +248,17 @@ let m_shape_entries = Obs.Registry.gauge Obs.Registry.default "frontdoor.shape_e
 type shape_entry = {
   s_key : string;
   s_shape : Sql.Ast.select;
-  mutable s_tick : int;
 }
 
-type shape_stripe = {
-  tbl : (string * string, shape_entry) Hashtbl.t;
-  cap : int;
-  mutable tick : int;
-}
-
-type shapes = shape_stripe Cote.Striped.t
+type shapes = (string * string, shape_entry) Cote.Striped.Lru.t Cote.Striped.t
 
 let shapes ~capacity =
-  Cote.Striped.create ~shared:true ~capacity "frontdoor" (fun cap ->
-      { tbl = Hashtbl.create 16; cap; tick = 0 })
+  Cote.Striped.create ~shared:true ~capacity "frontdoor" Cote.Striped.Lru.create
 
-let entries shapes = Cote.Striped.fold shapes (fun n st -> n + Hashtbl.length st.tbl) 0
-
-let touch st e =
-  st.tick <- st.tick + 1;
-  e.s_tick <- st.tick
+let entries shapes = Cote.Striped.fold shapes (fun n st -> n + Cote.Striped.Lru.length st) 0
 
 let find_shape shapes text =
-  Cote.Striped.with_key shapes text (fun st ->
-      match Hashtbl.find_opt st.tbl text with
-      | Some e ->
-        touch st e;
-        Some e
-      | None -> None)
+  Cote.Striped.with_key shapes text (fun st -> Cote.Striped.Lru.find st text)
 
 type ticket = {
   t_text : string * string;
@@ -295,13 +278,9 @@ let admit shapes p =
   | None -> ()
   | Some tk ->
     Cote.Striped.with_key shapes tk.t_text (fun st ->
-        if not (Hashtbl.mem st.tbl tk.t_text) then begin
-          if Hashtbl.length st.tbl >= st.cap then
-            ignore (Cote.Striped.evict_lru st.tbl (fun e -> e.s_tick));
-          let e = { s_key = tk.t_key; s_shape = tk.t_shape; s_tick = 0 } in
-          touch st e;
-          Hashtbl.replace st.tbl tk.t_text e
-        end);
+        if not (Cote.Striped.Lru.mem st tk.t_text) then
+          ignore
+            (Cote.Striped.Lru.replace st tk.t_text { s_key = tk.t_key; s_shape = tk.t_shape }));
     (* The gauge sweeps every stripe: outside the stripe's lock, so no
        operation holds two. *)
     if !Obs.Control.on then Obs.Gauge.set m_shape_entries (float_of_int (entries shapes))

@@ -124,6 +124,7 @@ type t = {
   n_compiles : int Atomic.t;
   n_estimates : int Atomic.t;
   n_errors : int Atomic.t;
+  n_compile_errors : int Atomic.t;  (* the errors of admitted compiles *)
   n_downgrades : int Atomic.t;
   n_plan_hits : int Atomic.t;
   n_regime_dp : int Atomic.t;
@@ -155,6 +156,7 @@ let stats_json t ~workers =
       ("compiles", n t.n_compiles);
       ("estimates", n t.n_estimates);
       ("errors", n t.n_errors);
+      ("compile_errors", n t.n_compile_errors);
       ("downgrades", n t.n_downgrades);
       ("plan_hits", n t.n_plan_hits);
       ("refits", J.int refits);
@@ -232,14 +234,25 @@ let compile_body ~plan ~cost ~card meta ~elapsed_s ~predicted_s ~queue_s ~cache_
   }
 
 (* A finished compile, DP or fallback: release its reservation, record the
-   actual under [tag], store the plan with its hit reply, account and
-   reply. *)
+   actual under [tag], store the plan with its hit reply on second sight,
+   account and reply.  The statement cache is the plan cache's doorkeeper:
+   a plan is stored only when an actual for the same (tag, key) was
+   already recorded, so a template's first compile stores nothing, its
+   second stores, and its third is a hit.  Traffic that never repeats
+   leaves no plan behind.  One exception: an actual over the per-request
+   ceiling prices every cold repeat at this tag out, so no second compile
+   could store the plan — the first one does. *)
 let complete t job ~now ~tag ~elapsed_s best meta =
   release t job;
+  let admit_plan =
+    t.pcache <> None
+    && (elapsed_s > t.cfg.admission.Admission.per_request_s
+       || Cote.Stmt_cache.mem t.cache ~tag ~key:job.j_key job.j_block)
+  in
   Cote.Stmt_cache.record t.cache ~tag ~key:job.j_key job.j_block elapsed_s;
   let text = Option.map (Format.asprintf "%a" O.Plan.pp_compact) best in
   (match (t.pcache, best) with
-  | Some pc, Some plan ->
+  | Some pc, Some plan when admit_plan ->
     (* A hit reports no compile of its own: zero seconds everywhere, and
        [cache_hit] false — that flag means "the statement cache refined
        the predicted seconds", and a hit never consults it;
@@ -296,6 +309,7 @@ let run_fallback t job ~now ~interrupt regime =
 let job_error t job e =
   release t job;
   Atomic.incr t.n_errors;
+  Atomic.incr t.n_compile_errors;
   job.j_send (Proto.R_error { id = job.j_id; message = Printexc.to_string e })
 
 let rec run_job t job =
@@ -601,6 +615,7 @@ let run ?(on_ready = fun () -> ()) cfg =
       n_compiles = Atomic.make 0;
       n_estimates = Atomic.make 0;
       n_errors = Atomic.make 0;
+      n_compile_errors = Atomic.make 0;
       n_downgrades = Atomic.make 0;
       n_plan_hits = Atomic.make 0;
       n_regime_dp = Atomic.make 0;

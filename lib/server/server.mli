@@ -35,13 +35,14 @@
     Each server event is counted once, per server, in the field of the
     [stats] reply that names it: [requests] (every request, [stats] polls
     included), [admitted], [rejected], [cancelled], [compiles],
-    [estimates], [errors], [plan_hits], [downgrades] (downgrade steps, a
-    request can take several), [regime_dp], [regime_greedy] and
-    [regime_fallbacks].  After any sequence of requests, once every
-    reply is in, [requests] is the sum of [estimates], [errors],
-    [compiles], [plan_hits], [rejected], [cancelled] and the [stats],
-    [shutdown] requests, and [admitted] is [compiles + plan_hits +
-    cancelled] plus the errors of admitted compiles.  The [metrics]
+    [estimates], [errors], [compile_errors] (the [errors] of admitted
+    compiles that raised in a worker), [plan_hits], [downgrades]
+    (downgrade steps, a request can take several), [regime_dp],
+    [regime_greedy] and [regime_fallbacks].  After any sequence of
+    requests, once every reply is in, [requests] is the sum of
+    [estimates], [errors], [compiles], [plan_hits], [rejected],
+    [cancelled] and the [stats], [shutdown] requests, and [admitted] is
+    [compiles + plan_hits + cancelled + compile_errors].  The [metrics]
     object carries the timing distributions ([server.queue_wait_s],
     [server.latency_s], [server.estimate_err_pct]) and the
     [server.queue_depth] gauge. *)
@@ -79,7 +80,13 @@ type config = {
           whose selectivity envelope still holds is answered inline from
           the cached plan — no COTE pass, no worker, an admission
           estimate of 0, and the reply the entry stored already
-          encoded.  It also enables the front door's statement text map
+          encoded.  A plan is admitted on second sight: a compile
+          stores only when the statement cache already held an actual
+          for its (level or regime, template key), so a template's
+          first compile stores nothing, its second stores and its third
+          is a hit.  A compile whose actual is over
+          [admission.per_request_s] stores at once: no cold repeat of it
+          could be admitted to store it later.  It also enables the front door's statement text map
           ({!Frontdoor.shapes}, as many entries as the plan cache): a
           text whose lookup hit is admitted, and its repeats are
           prepared without the parser.  [None] (the default) preserves

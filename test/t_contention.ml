@@ -199,9 +199,59 @@ let striped_property =
               (fun k -> route k = Hashtbl.hash k mod n && route k = route k)
               keys))
 
+(* The bounded stripe every cache keeps, against a reference model: an
+   association list, most recently used first, that a new key into a
+   full table cuts to the capacity.  [find] and [replace] touch; [peek],
+   [mem] and [remove] leave the order alone. *)
+type lru_op =
+  | Find of int
+  | Peek of int
+  | Replace of int * int
+  | Remove of int
+
+let lru_property =
+  let module L = Cote.Striped.Lru in
+  let key = QCheck2.Gen.int_range 0 7 in
+  let op =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun k -> Find k) key;
+          map (fun k -> Peek k) key;
+          map2 (fun k v -> Replace (k, v)) key small_nat;
+          map (fun k -> Remove k) key;
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"Striped.Lru: matches a most-recent-first list" ~count:300
+       QCheck2.Gen.(pair (int_range 1 6) (list_size (int_range 0 60) op))
+       (fun (cap, ops) ->
+         let l = L.create cap in
+         let model = ref [] in
+         let step = function
+           | Find k ->
+             let want = List.assoc_opt k !model in
+             Option.iter (fun v -> model := (k, v) :: List.remove_assoc k !model) want;
+             L.find l k = want
+           | Peek k -> L.peek l k = List.assoc_opt k !model && L.mem l k = List.mem_assoc k !model
+           | Replace (k, v) ->
+             let rest = List.remove_assoc k !model in
+             let evicts = (not (List.mem_assoc k !model)) && List.length rest >= cap in
+             model := (k, v) :: (if evicts then List.filteri (fun i _ -> i < cap - 1) rest else rest);
+             L.replace l k v = evicts
+           | Remove k ->
+             L.remove l k;
+             model := List.remove_assoc k !model;
+             true
+         in
+         List.for_all (fun o -> step o && L.length l = List.length !model) ops
+         && List.sort compare (L.fold (fun k v acc -> (k, v) :: acc) l [])
+            = List.sort compare !model))
+
 let suite =
   [
     striped_property;
+    lru_property;
     t "4-domain striped stress: accounting, lost updates, plan identity"
       (check_accounting ~domains:4);
     t "serial run through the striped cache is deterministic" (fun () ->

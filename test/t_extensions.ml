@@ -163,6 +163,57 @@ let cache_tests =
         Cote.Stmt_cache.record cache (Helpers.chain 3) 0.2;
         Cote.Stmt_cache.record cache (Helpers.chain 4) 0.3;
         Alcotest.(check int) "two" 2 (Cote.Stmt_cache.size cache));
+    t "the cache is bounded and evicts the least recently used pair first" (fun () ->
+        let key i = Printf.sprintf "k%d" i in
+        let cap = Cote.Stmt_cache.capacity in
+        let cache = Cote.Stmt_cache.create () in
+        for i = 0 to cap - 1 do
+          Cote.Stmt_cache.record cache ~key:(key i) block (float_of_int i)
+        done;
+        Alcotest.(check int) "full" cap (Cote.Stmt_cache.size cache);
+        (* A hit makes k0 the most recently used; k1 is now the oldest. *)
+        Alcotest.(check (option (float 0.0))) "k0 hit" (Some 0.0)
+          (Cote.Stmt_cache.lookup cache ~key:(key 0) block);
+        Cote.Stmt_cache.record cache ~key:"new" block 1.0;
+        Alcotest.(check int) "still full" cap (Cote.Stmt_cache.size cache);
+        Alcotest.(check bool) "k1 went first" false
+          (Cote.Stmt_cache.mem cache ~key:(key 1) block);
+        Alcotest.(check bool) "k0 stayed" true (Cote.Stmt_cache.mem cache ~key:(key 0) block);
+        Alcotest.(check bool) "the new pair is in" true
+          (Cote.Stmt_cache.mem cache ~key:"new" block);
+        (* Re-recording a present pair evicts nothing. *)
+        Cote.Stmt_cache.record cache ~key:"new" block 2.0;
+        Alcotest.(check bool) "k2 kept" true (Cote.Stmt_cache.mem cache ~key:(key 2) block);
+        (* A shared cache bounds each stripe by its share. *)
+        let shared = Cote.Stmt_cache.create ~shared:true () in
+        for i = 0 to (2 * cap) - 1 do
+          Cote.Stmt_cache.record shared ~tag:"full" ~key:(key i) block 0.0
+        done;
+        Alcotest.(check bool) "shared: at most the capacity" true
+          (Cote.Stmt_cache.size shared <= cap);
+        Alcotest.(check bool) "shared: the last pair is in" true
+          (Cote.Stmt_cache.mem shared ~tag:"full" ~key:(key ((2 * cap) - 1)) block));
+    t "mem counts nothing and keeps the LRU order" (fun () ->
+        Qopt_obs.Control.with_enabled true (fun () ->
+            let v = Qopt_obs.Registry.counter_value Qopt_obs.Registry.default in
+            let h0 = v "stmt_cache.hits" and m0 = v "stmt_cache.misses" in
+            let cache = Cote.Stmt_cache.create () in
+            Alcotest.(check bool) "absent" false (Cote.Stmt_cache.mem cache ~tag:"a" block);
+            Cote.Stmt_cache.record cache ~tag:"a" block 0.5;
+            Alcotest.(check bool) "present" true (Cote.Stmt_cache.mem cache ~tag:"a" block);
+            Alcotest.(check bool) "the tag partitions" false
+              (Cote.Stmt_cache.mem cache ~tag:"b" block);
+            Alcotest.(check int) "no hits" 0 (v "stmt_cache.hits" - h0);
+            Alcotest.(check int) "no misses" 0 (v "stmt_cache.misses" - m0);
+            (* Fill behind "a" without touching it again: a [mem] of "a"
+               must not save it from being the first victim. *)
+            for i = 1 to Cote.Stmt_cache.capacity - 1 do
+              Cote.Stmt_cache.record cache ~key:(string_of_int i) block 0.0
+            done;
+            ignore (Cote.Stmt_cache.mem cache ~tag:"a" block);
+            Cote.Stmt_cache.record cache ~key:"last" block 0.0;
+            Alcotest.(check bool) "a went first" false
+              (Cote.Stmt_cache.mem cache ~tag:"a" block)));
   ]
 
 let suite = mat_view_tests @ cache_tests

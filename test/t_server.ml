@@ -446,9 +446,10 @@ let big_is_running doc = stat doc "queue_depth" = 0 && statf doc "in_flight_s" >
    templates span one to five tables: under [reconcile_config] the model
    downgrades the four- and five-table ones, and the five-table one is
    still over the per-request ceiling and rejected (a recorded actual can
-   push another template over it too).  A repeated template is a
-   plan-cache hit, and a [deadline_ms = 0] compile is usually cancelled
-   at dequeue but may be compiled or served from the cache. *)
+   push another template over it too).  A template compiled twice is a
+   plan-cache hit from then on, and a [deadline_ms = 0] compile is
+   usually cancelled at dequeue but may be compiled or served from the
+   cache. *)
 type reconcile_op =
   | Estimate of int * int  (** template, literal *)
   | Compile of int * int * bool  (** template, literal, zero deadline *)
@@ -511,9 +512,10 @@ let show_reconcile_op = function
 
 (* After every [stats] poll — the sequence's own and a last one — every
    request is in exactly one outcome counter, every admission ended in a
-   compile, a plan hit, a cancellation or a compile error, and each
-   counter equals the replies of its kind the client received.  None of
-   the three depends on which way a timing-sensitive request went. *)
+   compile, a plan hit, a cancellation or a compile error (both read from
+   [stats] alone), and each counter equals the replies of its kind the
+   client received.  None of the three depends on which way a
+   timing-sensitive request went. *)
 let stats_reconcile_prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:20
@@ -570,9 +572,12 @@ let stats_reconcile_prop =
                        (f "estimates" + f "errors" + f "compiles" + f "plan_hits"
                       + f "rejected" + f "cancelled" + !polls)
                        (f "requests");
-                     Alcotest.(check int) "admitted = compiles + hits + cancelled + job errors"
-                       (f "compiles" + f "plan_hits" + f "cancelled" + got "job_errors")
+                     Alcotest.(check int) "admitted = compiles + hits + cancelled + compile errors"
+                       (f "compiles" + f "plan_hits" + f "cancelled" + f "compile_errors")
                        (f "admitted");
+                     Alcotest.(check bool) "compile errors are errors" true
+                       (f "compile_errors" <= f "errors");
+                     Alcotest.(check int) "compile_errors" (got "job_errors") (f "compile_errors");
                      List.iter
                        (fun k -> Alcotest.(check int) k (got k) (f k))
                        [ "estimates"; "errors"; "compiles"; "plan_hits"; "rejected"; "cancelled" ]
@@ -1059,7 +1064,9 @@ let plan_cache_tests =
            clear it: the canned model has no intercept, so the first cold
            single-table compile predicts exactly 0.0 s and is admitted —
            but once its actual elapsed time is recorded, any later COLD
-           compile of the same template would be rejected.  The only way
+           compile of the same template would be rejected.  A second
+           compile could never store the plan, so the first one does
+           (second-sight admission yields to the ceiling).  The only way
            parameter-varying repeats can come back compiled is the plan
            cache's inline hit path (estimate 0).  Join queries predict
            microseconds cold and are rejected outright. *)
@@ -1214,6 +1221,8 @@ let plan_cache_tests =
                 let a0 = compile "alpha" 5 in
                 Alcotest.(check bool) "alpha cold" false
                   a0.Srv.Proto.c_plan_cached;
+                Alcotest.(check bool) "alpha's second compile stores" false
+                  (compile "alpha" 6).Srv.Proto.c_plan_cached;
                 let a1 = compile "alpha" 7 in
                 Alcotest.(check bool) "alpha repeat hits" true
                   a1.Srv.Proto.c_plan_cached;
@@ -1224,6 +1233,8 @@ let plan_cache_tests =
                 Alcotest.(check bool) "beta compiled its own plan" true
                   (b0.Srv.Proto.c_cost <> a0.Srv.Proto.c_cost
                   || b0.Srv.Proto.c_plan <> a0.Srv.Proto.c_plan);
+                Alcotest.(check bool) "beta's second compile stores" false
+                  (compile "beta" 8).Srv.Proto.c_plan_cached;
                 let b1 = compile "beta" 9 in
                 Alcotest.(check bool) "beta repeat hits its own entry" true
                   b1.Srv.Proto.c_plan_cached;
@@ -1317,13 +1328,16 @@ let plan_cache_tests =
                     match Result.bind (J.parse raw) Srv.Proto.reply_of_json with
                     | Ok (Srv.Proto.R_compile (rid, b) as r) ->
                       Alcotest.(check int) "id" id rid;
-                      Alcotest.(check bool) "hit" (id <> 0) b.Srv.Proto.c_plan_cached;
+                      (* Ids 0 and 1 are the two compiles that admit the
+                         plan; the rest are hits. *)
+                      Alcotest.(check bool) "hit" (id > 1) b.Srv.Proto.c_plan_cached;
                       Alcotest.(check string) "bytes"
                         (J.to_string (Srv.Proto.reply_to_json r))
                         raw
                     | _ -> Alcotest.failf "expected a compile reply, got %s" raw)
-                  [ 0; 7; 1_000_000_000 ])));
-    t "the third request of a template is served through the text map" (fun () ->
+                  [ 0; 1; 7; 1_000_000_000 ])));
+    t "the third request of a template is a hit, the fourth is served through the text map"
+      (fun () ->
         with_plan_cache_server (fun addr ->
             let c = Srv.Client.connect addr in
             Fun.protect
@@ -1337,14 +1351,16 @@ let plan_cache_tests =
                 in
                 let b1 = compile 3 in
                 let b2 = compile 4 in
-                Alcotest.(check int) "no map hit yet" 0 (shape_hits c - hits0);
                 let b3 = compile 5 in
+                Alcotest.(check int) "no map hit yet" 0 (shape_hits c - hits0);
+                let b4 = compile 6 in
                 Alcotest.(check int) "served through the map" 1 (shape_hits c - hits0);
                 Alcotest.(check bool) "first compiled" false b1.Srv.Proto.c_plan_cached;
-                Alcotest.(check bool) "second a hit" true b2.Srv.Proto.c_plan_cached;
-                Alcotest.(check bool) "third equals the second" true (b2 = b3);
+                Alcotest.(check bool) "second compiled" false b2.Srv.Proto.c_plan_cached;
+                Alcotest.(check bool) "third a hit" true b3.Srv.Proto.c_plan_cached;
+                Alcotest.(check bool) "fourth equals the third" true (b3 = b4);
                 Alcotest.(check (option string)) "the compiled plan" b1.Srv.Proto.c_plan
-                  b3.Srv.Proto.c_plan)));
+                  b4.Srv.Proto.c_plan)));
     t "LIMIT 0 after LIMIT 5 of the same shape still gets the parser's error"
       (fun () ->
         with_plan_cache_server (fun addr ->
@@ -1358,7 +1374,9 @@ let plan_cache_tests =
                     "SELECT s.s_store_name FROM store s WHERE s.s_market_id = 3 LIMIT %d" n
                 in
                 ignore (compile_body c (sql 5));
-                Alcotest.(check bool) "LIMIT 5 again is a hit" true
+                Alcotest.(check bool) "LIMIT 5 again stores" false
+                  (compile_body c (sql 5)).Srv.Proto.c_plan_cached;
+                Alcotest.(check bool) "LIMIT 5 a third time is a hit" true
                   (compile_body c (sql 5)).Srv.Proto.c_plan_cached;
                 (match compile_reply c (sql 0) with
                 | Srv.Proto.R_error { message; _ } ->
@@ -1368,6 +1386,52 @@ let plan_cache_tests =
                   Alcotest.failf "expected an error, got %s"
                     (J.to_string (Srv.Proto.reply_to_json r)));
                 Alcotest.(check int) "never through the map" 0 (shape_hits c - hits0))));
+    t "a template's first compile stores nothing, its second stores, its third is a hit"
+      (fun () ->
+        with_plan_cache_server (fun addr ->
+            let c = Srv.Client.connect addr in
+            Fun.protect
+              ~finally:(fun () -> Srv.Client.close c)
+              (fun () ->
+                let sql = reconcile_sql 2 in
+                let counts () =
+                  match request_exn c (Srv.Proto.Stats { id = Srv.Client.fresh_id c }) with
+                  | Srv.Proto.R_stats (_, doc) -> (stat doc "compiles", stat doc "plan_hits")
+                  | _ -> Alcotest.fail "expected stats reply"
+                in
+                let b1 = compile_body c (sql 1998) in
+                Alcotest.(check bool) "first compiled" false b1.Srv.Proto.c_plan_cached;
+                Alcotest.(check (pair int int)) "one compile" (1, 0) (counts ());
+                let b2 = compile_body c (sql 1999) in
+                Alcotest.(check bool) "second compiled, nothing was stored" false
+                  b2.Srv.Proto.c_plan_cached;
+                Alcotest.(check bool) "second refined by the first's actual" true
+                  b2.Srv.Proto.c_cache_hit;
+                Alcotest.(check (pair int int)) "two compiles" (2, 0) (counts ());
+                let b3 = compile_body c (sql 2000) in
+                Alcotest.(check bool) "third a hit" true b3.Srv.Proto.c_plan_cached;
+                Alcotest.(check (option string)) "the second's plan" b2.Srv.Proto.c_plan
+                  b3.Srv.Proto.c_plan;
+                Alcotest.(check (pair int int)) "two compiles, one hit" (2, 1) (counts ()))));
+    t "a stream of distinct templates leaves the plan cache empty" (fun () ->
+        with_plan_cache_server (fun addr ->
+            let c = Srv.Client.connect addr in
+            Fun.protect
+              ~finally:(fun () -> Srv.Client.close c)
+              (fun () ->
+                let pass () =
+                  Array.to_list
+                    (Array.mapi
+                       (fun tpl _ ->
+                         (compile_body c (reconcile_sql tpl 1999)).Srv.Proto.c_plan_cached)
+                       reconcile_templates)
+                in
+                let none = List.map (fun _ -> false) (Array.to_list reconcile_templates) in
+                (* Had the stream stored anything, the repeat pass would hit. *)
+                Alcotest.(check (list bool)) "the stream compiles" none (pass ());
+                Alcotest.(check (list bool)) "its repeat compiles too" none (pass ());
+                Alcotest.(check (list bool)) "only a third sight hits"
+                  (List.map not none) (pass ()))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1725,7 +1789,7 @@ let giant_star_sql n =
   "SELECT g0.v1 FROM " ^ String.concat ", " tables ^ " WHERE "
   ^ String.concat " AND " joins
 
-let with_budgeted_server ?(trust_hints = false) ?(max_memo_entries = 500) f =
+let with_budgeted_server ?(trust_hints = false) ?(max_memo_entries = 500) ?plan_cache f =
   with_server
     ~configure:(fun c ->
       {
@@ -1734,6 +1798,7 @@ let with_budgeted_server ?(trust_hints = false) ?(max_memo_entries = 500) f =
           c.Srv.Server.schemas @ [ ("giant", giant_schema) ];
         budget = O.Budget.make ~max_memo_entries ();
         trust_hints;
+        plan_cache;
       })
     f
 
@@ -1844,6 +1909,37 @@ let giant_regime_tests =
                   (b.Srv.Proto.c_plan <> None);
                 Alcotest.(check bool) "cost is finite" true
                   (Float.is_finite b.Srv.Proto.c_cost))));
+    t "a giant star's first greedy compile stores nothing, its second stores"
+      (fun () ->
+        (* Second-sight admission on the spanning-tree path: the actuals
+           are recorded under the "greedy" tag, and the doorkeeper asks
+           for that tag too. *)
+        with_budgeted_server ~plan_cache:Cote.Plan_cache.default_config (fun addr ->
+            let c = Srv.Client.connect addr in
+            Fun.protect
+              ~finally:(fun () -> Srv.Client.close c)
+              (fun () ->
+                let sql = giant_star_sql 30 in
+                let b1 = compile_regime c sql in
+                Alcotest.(check string) "first: greedy" "greedy" b1.Srv.Proto.c_regime;
+                Alcotest.(check bool) "first compiled" false b1.Srv.Proto.c_plan_cached;
+                let b2 = compile_regime c sql in
+                Alcotest.(check string) "second: greedy" "greedy" b2.Srv.Proto.c_regime;
+                Alcotest.(check bool) "second compiled, nothing was stored" false
+                  b2.Srv.Proto.c_plan_cached;
+                Alcotest.(check bool) "second refined by the greedy actual" true
+                  b2.Srv.Proto.c_cache_hit;
+                let b3 = compile_regime c sql in
+                Alcotest.(check bool) "third a hit" true b3.Srv.Proto.c_plan_cached;
+                Alcotest.(check string) "the hit keeps its regime" "greedy"
+                  b3.Srv.Proto.c_regime;
+                Alcotest.(check (option string)) "the second's plan" b2.Srv.Proto.c_plan
+                  b3.Srv.Proto.c_plan;
+                match request_exn c (Srv.Proto.Stats { id = Srv.Client.fresh_id c }) with
+                | Srv.Proto.R_stats (_, doc) ->
+                  Alcotest.(check int) "two greedy compiles" 2 (stat doc "regime_greedy");
+                  Alcotest.(check int) "one hit" 1 (stat doc "plan_hits")
+                | _ -> Alcotest.fail "expected stats reply")));
     t "a 30-table star: the dry run routes it greedy, estimate still errors"
       (fun () ->
         (* The estimator's dry run proves the blowup before the COTE pass;
