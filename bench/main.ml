@@ -959,7 +959,16 @@ let fleet_rows () =
                                       Predict.compile_time on the corpus
                                       queries whose estimate aborts: what
                                       a spanning-tree request pays before
-                                      its compile starts *)
+                                      its compile starts
+     giant/cote-overhead-pct        — the served COTE pass's share: median
+                                      estimate over median compile, both
+                                      under the server's 600-entry MEMO
+                                      budget, summed over the 24-table
+                                      chain and the 22-table cycle, in %
+     giant/cote-budget-tax          — median budgeted over median
+                                      unbudgeted estimate on the 24-table
+                                      chain (1.0 when the budget's checks
+                                      cost nothing) *)
 (* Fig. 2's headline shares on real2_s.  The paper's premise is that
    generating and saving join plans dominates compile time; a speed-up
    that caches away the per-plan cost work would show here first. *)
@@ -1044,6 +1053,25 @@ let giant_rows () =
         | false, _ -> None)
       corpus
   in
+  let served = O.Budget.make ~max_memo_entries:600 () in
+  let median_s repeats f = snd (Qopt_util.Timer.time_median ~repeats f) in
+  let estimate_s ?budget b =
+    median_s 15 (fun () -> Cote.Estimator.estimate ?budget env b)
+  in
+  let chain24 = W.Giant.block W.Giant.Chain 24 in
+  let cycle22 = W.Giant.block W.Giant.Cycle 22 in
+  (* Explicit lets fix the measuring order (tuple and operator arguments
+     evaluate right to left). *)
+  let est_s, compile_s =
+    List.fold_left
+      (fun (e, c) b ->
+        let est = estimate_s ~budget:served b in
+        let compile = median_s 5 (fun () -> O.Optimizer.optimize env ~budget:served b) in
+        (e +. est, c +. compile))
+      (0.0, 0.0) [ chain24; cycle22 ]
+  in
+  let unbudgeted_s = estimate_s chain24 in
+  let budgeted_s = estimate_s ~budget:served chain24 in
   let rows =
     [
       ("giant/compile-dp-n20", dp_n20_s *. 1e3);
@@ -1051,6 +1079,8 @@ let giant_rows () =
       ("giant/dp-n50-budget-exceeded", blown);
       ("giant/regime-decision-accuracy", accuracy);
       ("giant/cote-abort-ms", Qopt_util.Stats.median abort_ms);
+      ("giant/cote-overhead-pct", 100.0 *. est_s /. compile_s);
+      ("giant/cote-budget-tax", budgeted_s /. unbudgeted_s);
     ]
   in
   Format.printf

@@ -19,6 +19,11 @@ type t = {
   mutable scans : int;
   (* Compound-vector mode only: per-entry (order, partition) pairs. *)
   pairs : (int, compound) Hashtbl.t;
+  (* The kept-plan figure beyond one plan per entry: the sum over entries
+     of [entry_plans - 1] in separate-list mode, of [entry_plans] in
+     compound mode.  Every list change adds its delta here, so reading the
+     figure never walks the MEMO. *)
+  mutable kept_extra : int;
 }
 
 let create ?(options = default_options) env memo =
@@ -30,6 +35,7 @@ let create ?(options = default_options) env memo =
     counts = O.Memo.counts_zero ();
     scans = 0;
     pairs = Hashtbl.create 64;
+    kept_extra = 0;
   }
 
 let counts t = t.counts
@@ -41,8 +47,23 @@ let card_of t entry = O.Memo.card_of t.memo O.Cardinality.Simple entry
 let pairs_of t (e : O.Memo.entry) =
   Option.value ~default:[] (Hashtbl.find_opt t.pairs (Bitset.to_int e.O.Memo.tables))
 
+(* The Section 6.2 memory model's kept plans for one entry. *)
+let entry_plans t (e : O.Memo.entry) =
+  if t.options.separate_lists then
+    (List.length e.O.Memo.i_orders + 1) * max 1 (List.length e.O.Memo.i_parts)
+  else List.length (pairs_of t e)
+
 let set_pairs t (e : O.Memo.entry) pairs =
-  Hashtbl.replace t.pairs (Bitset.to_int e.O.Memo.tables) pairs
+  let old = List.length (pairs_of t e) in
+  Hashtbl.replace t.pairs (Bitset.to_int e.O.Memo.tables) pairs;
+  t.kept_extra <- t.kept_extra + List.length pairs - old
+
+(* Separate-list mode: run [f], which may rewrite [e]'s order and
+   partition lists, and add the change in [e]'s kept plans. *)
+let tracking_lists t (e : O.Memo.entry) f =
+  let before = entry_plans t e in
+  f ();
+  t.kept_extra <- t.kept_extra + entry_plans t e - before
 
 (* ------------------------------------------------------------------ *)
 (* initialize() — Table 3                                              *)
@@ -54,7 +75,6 @@ let on_entry t (entry : O.Memo.entry) =
     (* Eager order policy: reuse the precomputed interesting orders for base
        tables (Section 4 point 1). *)
     let orders = O.Interesting.orders_for_table t.block q in
-    entry.O.Memo.i_orders <- orders;
     (* Lazy partition policy: seed from the physical partitioning only,
        keeping interesting values. *)
     let parts =
@@ -67,7 +87,9 @@ let on_entry t (entry : O.Memo.entry) =
         then [ p ]
         else []
     in
-    entry.O.Memo.i_parts <- parts;
+    tracking_lists t entry (fun () ->
+        entry.O.Memo.i_orders <- orders;
+        entry.O.Memo.i_parts <- parts);
     (* Scans pipeline, so a pipelinable variant always exists at the leaves
        (relevant only for top-N queries). *)
     entry.O.Memo.i_pipe <- true;
@@ -328,23 +350,17 @@ let on_join t (event : O.Enumerator.join_event) =
      every join. *)
   let first = not j.O.Memo.propagated_once in
   if t.options.separate_lists then
-    propagate_separate t equiv event
-      ~orders:(first || not t.options.first_join_only)
+    tracking_lists t j (fun () ->
+        propagate_separate t equiv event
+          ~orders:(first || not t.options.first_join_only))
   else propagate_compound t equiv event;
   j.O.Memo.propagated_once <- true
 
 let consumer t =
   { O.Enumerator.on_entry = on_entry t; O.Enumerator.on_join = on_join t }
 
-let est_memo_plans t =
-  let total = ref 0.0 in
-  O.Memo.iter_entries
-    (fun e ->
-      if t.options.separate_lists then begin
-        let orders = float_of_int (List.length e.O.Memo.i_orders) in
-        let parts = float_of_int (max 1 (List.length e.O.Memo.i_parts)) in
-        total := !total +. ((orders +. 1.0) *. parts)
-      end
-      else total := !total +. float_of_int (List.length (pairs_of t e)))
-    t.memo;
-  !total
+(* An entry whose lists were never set keeps one plan in separate-list
+   mode ([(0 + 1) * max 1 0]) and none in compound mode. *)
+let kept_plans t =
+  if t.options.separate_lists then O.Memo.n_entries t.memo + t.kept_extra
+  else t.kept_extra

@@ -61,7 +61,13 @@ val count_into :
     hook for {!Multi_level} piggyback estimation, where a lower level's
     counts are accumulated from the subset of joins it would enumerate. *)
 
-val est_memo_plans : t -> float
-(** Estimated number of plans *kept* in the MEMO: per entry,
-    [(|orders| + 1) * max(1, |partitions|)] — the Section 6.2 memory
-    model's plan count (a lower bound on the real optimizer's kept plans). *)
+val entry_plans : t -> Qopt_optimizer.Memo.entry -> int
+(** One entry's estimated kept plans, from its current lists:
+    [(|orders| + 1) * max(1, |partitions|)] with separate lists, the
+    number of (order, partition) pairs with compound ones. *)
+
+val kept_plans : t -> int
+(** Estimated number of plans *kept* in the MEMO: {!entry_plans} summed
+    over every entry — the Section 6.2 memory model's plan count (a lower
+    bound on the real optimizer's kept plans).  A running count, kept up
+    to date wherever a list changes, so reading it costs O(1). *)

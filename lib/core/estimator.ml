@@ -84,12 +84,14 @@ let run_block ?options ?budget ~knobs env block =
     (* The estimate pass enumerates the same joins the optimizer would, so
        on a giant graph it explodes just like the real compile; cap it the
        same way.  The estimate-mode analogue of kept plans is the memory
-       model's plan count. *)
+       model's plan count.  Both figures are running counters, so the check
+       after each event is two int compares, as in
+       [Optimizer.budgeted_consumer]. *)
     match budget with
     | Some b when not (O.Budget.is_unlimited b) ->
       let check () =
         O.Budget.check b ~entries:(O.Memo.n_entries memo)
-          ~kept:(int_of_float (Accumulate.est_memo_plans acc))
+          ~kept:(Accumulate.kept_plans acc)
       in
       {
         O.Enumerator.on_entry =
@@ -117,7 +119,7 @@ let of_pass ~n_views (memo, acc) =
     scan_plans = Accumulate.scan_plans acc;
     entries = O.Memo.n_entries memo;
     elapsed = 0.0;
-    est_memo_plans = Accumulate.est_memo_plans acc;
+    est_memo_plans = float_of_int (Accumulate.kept_plans acc);
     mv_tests = O.Memo.n_entries memo * n_views;
   }
 
@@ -130,10 +132,21 @@ let of_pass ~n_views (memo, acc) =
    raises what the real pass would have raised for an entry-only budget
    (entries grow one at a time, so the first crossing reads [cap + 1]).
    A block with [2^n - 1 <= cap] subsets cannot cross the cap at all (the
-   shift would overflow past [Sys.int_size - 2] quantifiers). *)
+   shift would overflow past [Sys.int_size - 2] quantifiers).  Nor can a
+   block with at most [cap] connected sets when the dry run admits no
+   Cartesian product: every entry it creates is then a connected set, so
+   chains and cycles under the cap skip a dry run that would cost half a
+   pass. *)
 let precheck ~knobs ~cap block =
   let n = O.Query_block.n_quantifiers block in
-  if n >= Sys.int_size - 1 || (1 lsl n) - 1 > cap then begin
+  let connected_only =
+    (not knobs.O.Knobs.allow_cartesian)
+    && not (knobs.O.Knobs.card1_cartesian && knobs.O.Knobs.card1_threshold = infinity)
+  in
+  if
+    (n >= Sys.int_size - 1 || (1 lsl n) - 1 > cap)
+    && ((not connected_only) || O.Query_block.connected_sets_exceed block cap)
+  then begin
     let memo = O.Memo.create block in
     let entries_only = O.Budget.make ~max_memo_entries:cap () in
     let on_entry _ =

@@ -171,6 +171,39 @@ let local_preds t = List.filter (fun p -> not (Pred.is_join p)) t.preds
 let column t (c : Colref.t) =
   Table.find_column (quantifier t c.q).Quantifier.table c.col
 
+(* The EnumerateCsg recursion of DPccp (Moerkotte and Neumann): from each
+   quantifier, highest first, grow by every non-empty subset of the
+   neighbourhood not yet excluded.  It meets each connected set once, and
+   stops as soon as the count passes [limit]. *)
+let connected_sets_exceed t limit =
+  let n = n_quantifiers t in
+  let adj = Array.init n (fun q -> Bitset.to_int (neighbors t q)) in
+  let count = ref 0 in
+  let emit () =
+    incr count;
+    if !count > limit then raise_notrace Exit
+  in
+  let neigh s = Bitset.fold (fun q acc -> acc lor adj.(q)) (Bitset.of_int s) 0 in
+  let rec each_subset nb f sub =
+    if sub <> 0 then begin
+      f sub;
+      each_subset nb f ((sub - 1) land nb)
+    end
+  in
+  let rec grow s excluded =
+    let nb = neigh s land lnot (s lor excluded) in
+    each_subset nb (fun _ -> emit ()) nb;
+    each_subset nb (fun sub -> grow (s lor sub) (excluded lor nb)) nb
+  in
+  match
+    for i = n - 1 downto 0 do
+      emit ();
+      grow (1 lsl i) ((1 lsl (i + 1)) - 1)
+    done
+  with
+  | () -> false
+  | exception Exit -> true
+
 let is_connected t =
   let n = n_quantifiers t in
   if n <= 1 then true

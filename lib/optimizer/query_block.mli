@@ -90,6 +90,12 @@ val is_connected : t -> bool
 (** Whether the join graph (join predicates as edges) connects all
     quantifiers. *)
 
+val connected_sets_exceed : t -> int -> bool
+(** [connected_sets_exceed t limit]: whether more than [limit] quantifier
+    sets induce a connected subgraph of the join graph — the most MEMO
+    entries an enumeration without Cartesian products can create.  Costs
+    O(n) per set counted, and stops counting past [limit]. *)
+
 val iter_blocks : (t -> unit) -> t -> unit
 (** Applies the function to this block and, recursively, all children
     (children first — blocks are compiled bottom-up). *)

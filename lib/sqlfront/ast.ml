@@ -53,83 +53,121 @@ and sel_item =
 
 let col ?table name = { c_table = table; c_name = name }
 
-let pp_col ppf c =
-  match c.c_table with
-  | None -> Format.pp_print_string ppf c.c_name
-  | Some t -> Format.fprintf ppf "%s.%s" t c.c_name
+(* The printer writes straight into a [Buffer]: the template key of every
+   parsed prepare is rendered here, and a [Format] formatter per key was
+   its largest allocation. *)
+let add_col b c =
+  (match c.c_table with
+  | None -> ()
+  | Some t ->
+    Buffer.add_string b t;
+    Buffer.add_char b '.');
+  Buffer.add_string b c.c_name
 
-let pp_literal ppf = function
+let add_literal b = function
   | Num f ->
     if Float.is_integer f && Float.abs f < 1e15 then
-      Format.fprintf ppf "%.0f" f
-    else Format.fprintf ppf "%g" f
-  | Str s -> Format.fprintf ppf "'%s'" s
+      (* What "%.0f" prints, negative zero included. *)
+      if f = 0.0 && Float.sign_bit f then Buffer.add_string b "-0"
+      else Buffer.add_string b (string_of_int (int_of_float f))
+    else Buffer.add_string b (Printf.sprintf "%g" f)
+  | Str s ->
+    Buffer.add_char b '\'';
+    Buffer.add_string b s;
+    Buffer.add_char b '\''
 
 let cmp_string = function Eq -> "=" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
 
-let pp_table_ref ppf t =
+let add_list b sep add = function
+  | [] -> ()
+  | x :: rest ->
+    add b x;
+    List.iter
+      (fun x ->
+        Buffer.add_string b sep;
+        add b x)
+      rest
+
+let add_table_ref b t =
+  Buffer.add_string b t.t_name;
   match t.t_alias with
-  | None -> Format.pp_print_string ppf t.t_name
-  | Some a -> Format.fprintf ppf "%s %s" t.t_name a
+  | None -> ()
+  | Some a ->
+    Buffer.add_char b ' ';
+    Buffer.add_string b a
 
-let rec pp_condition ppf = function
-  | Cmp_cols (a, op, b) ->
-    Format.fprintf ppf "%a %s %a" pp_col a (cmp_string op) pp_col b
+let add_cmp b op =
+  Buffer.add_char b ' ';
+  Buffer.add_string b (cmp_string op);
+  Buffer.add_char b ' '
+
+let rec add_condition b = function
+  | Cmp_cols (x, op, y) ->
+    add_col b x;
+    add_cmp b op;
+    add_col b y
   | Cmp_lit (c, op, l) ->
-    Format.fprintf ppf "%a %s %a" pp_col c (cmp_string op) pp_literal l
+    add_col b c;
+    add_cmp b op;
+    add_literal b l
   | In_list (c, ls) ->
-    Format.fprintf ppf "%a IN (%a)" pp_col c
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         pp_literal)
-      ls
-  | Exists s -> Format.fprintf ppf "EXISTS (%a)" pp_select s
-  | In_subquery (c, s) -> Format.fprintf ppf "%a IN (%a)" pp_col c pp_select s
+    add_col b c;
+    Buffer.add_string b " IN (";
+    add_list b ", " add_literal ls;
+    Buffer.add_char b ')'
+  | Exists s ->
+    Buffer.add_string b "EXISTS (";
+    add_select b s;
+    Buffer.add_char b ')'
+  | In_subquery (c, s) ->
+    add_col b c;
+    Buffer.add_string b " IN (";
+    add_select b s;
+    Buffer.add_char b ')'
 
-and pp_sel_item ppf = function
-  | Star -> Format.pp_print_string ppf "*"
-  | Col_item c -> pp_col ppf c
-  | Agg (f, c) -> Format.fprintf ppf "%s(%a)" f pp_col c
+and add_sel_item b = function
+  | Star -> Buffer.add_char b '*'
+  | Col_item c -> add_col b c
+  | Agg (f, c) ->
+    Buffer.add_string b f;
+    Buffer.add_char b '(';
+    add_col b c;
+    Buffer.add_char b ')'
 
-and pp_select ppf s =
-  let sep_comma ppf () = Format.pp_print_string ppf ", " in
-  Format.fprintf ppf "SELECT %a FROM %a"
-    (Format.pp_print_list ~pp_sep:sep_comma pp_sel_item)
-    s.sel_items
-    (Format.pp_print_list ~pp_sep:sep_comma pp_table_ref)
-    s.sel_from;
+and add_select b s =
+  Buffer.add_string b "SELECT ";
+  add_list b ", " add_sel_item s.sel_items;
+  Buffer.add_string b " FROM ";
+  add_list b ", " add_table_ref s.sel_from;
   List.iter
     (fun j ->
-      Format.fprintf ppf " %s %a ON %a"
-        (match j.j_kind with Inner -> "JOIN" | Left_outer -> "LEFT JOIN")
-        pp_table_ref j.j_table
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " AND ")
-           pp_condition)
-        j.j_on)
+      Buffer.add_string b
+        (match j.j_kind with Inner -> " JOIN " | Left_outer -> " LEFT JOIN ");
+      add_table_ref b j.j_table;
+      Buffer.add_string b " ON ";
+      add_list b " AND " add_condition j.j_on)
     s.sel_joins;
-  (match s.sel_where with
-  | [] -> ()
-  | conds ->
-    Format.fprintf ppf " WHERE %a"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " AND ")
-         pp_condition)
-      conds);
-  (match s.sel_group_by with
-  | [] -> ()
-  | cols ->
-    Format.fprintf ppf " GROUP BY %a"
-      (Format.pp_print_list ~pp_sep:sep_comma pp_col)
-      cols);
-  (match s.sel_order_by with
-  | [] -> ()
-  | cols ->
-    Format.fprintf ppf " ORDER BY %a"
-      (Format.pp_print_list ~pp_sep:sep_comma pp_col)
-      cols);
+  if s.sel_where <> [] then begin
+    Buffer.add_string b " WHERE ";
+    add_list b " AND " add_condition s.sel_where
+  end;
+  if s.sel_group_by <> [] then begin
+    Buffer.add_string b " GROUP BY ";
+    add_list b ", " add_col s.sel_group_by
+  end;
+  if s.sel_order_by <> [] then begin
+    Buffer.add_string b " ORDER BY ";
+    add_list b ", " add_col s.sel_order_by
+  end;
   match s.sel_limit with
   | None -> ()
-  | Some n -> Format.fprintf ppf " LIMIT %d" n
+  | Some n ->
+    Buffer.add_string b " LIMIT ";
+    Buffer.add_string b (string_of_int n)
 
-let to_string s = Format.asprintf "%a" pp_select s
+let to_string s =
+  let b = Buffer.create 256 in
+  add_select b s;
+  Buffer.contents b
+
+let pp_select ppf s = Format.pp_print_string ppf (to_string s)

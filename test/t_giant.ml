@@ -461,8 +461,51 @@ let block_of_connected (_, parents, extra, one_row, _, _) =
   in
   O.Query_block.make ~name:"connected" ~quantifiers ~preds:(tree @ extra) ()
 
+(* Connected sets by brute force: every non-empty subset, grown from its
+   lowest quantifier over the join graph. *)
+let brute_connected_sets block =
+  let n = O.Query_block.n_quantifiers block in
+  let count = ref 0 in
+  for mask = 1 to (1 lsl n) - 1 do
+    let s = Bitset.of_int mask in
+    let rec reach r =
+      let r' =
+        Bitset.fold
+          (fun q acc ->
+            Bitset.union acc (Bitset.inter s (O.Query_block.neighbors block q)))
+          r r
+      in
+      if Bitset.equal r r' then r else reach r'
+    in
+    if Bitset.equal (reach (Bitset.singleton (Bitset.min_elt s))) s then incr count
+  done;
+  !count
+
+let connected_sets_are block count =
+  (not (O.Query_block.connected_sets_exceed block count))
+  && O.Query_block.connected_sets_exceed block (count - 1)
+
 let precheck_tests =
   [
+    t "connected-set counts match the closed forms" (fun () ->
+        List.iter
+          (fun (shape, n, count) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s/%d: %d sets" (W.Giant.shape_name shape) n count)
+              true
+              (connected_sets_are (W.Giant.block shape n) count))
+          [
+            (W.Giant.Chain, 20, 210); (W.Giant.Chain, 50, 1275);
+            (W.Giant.Cycle, 22, (22 * 21) + 1); (W.Giant.Star, 12, 2048 + 11);
+            (W.Giant.Clique, 10, 1023);
+          ];
+        (* The count stops past the limit: a 50-clique has 2^50 - 1. *)
+        Alcotest.(check bool) "clique/50 over 600" true
+          (O.Query_block.connected_sets_exceed (W.Giant.block W.Giant.Clique 50) 600));
+    prop "random connected graphs: connected-set count is the brute-force one"
+      ~count:40 gen_connected (fun g ->
+        let b = block_of_connected g in
+        connected_sets_are b (brute_connected_sets b));
     t "entry caps: the budgeted estimate raises iff the MEMO outgrows the cap"
       (fun () ->
         List.iter
@@ -558,6 +601,199 @@ let precheck_tests =
         entry_cap_agrees ~knobs (block_of_connected g) cap);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The estimate pass's running kept-plan count                         *)
+(* ------------------------------------------------------------------ *)
+
+let list_modes =
+  [
+    ("separate", Cote.Accumulate.default_options);
+    ( "compound",
+      { Cote.Accumulate.default_options with Cote.Accumulate.separate_lists = false } );
+  ]
+
+(* The reference the running count replaces: the memory model's kept
+   plans walked over every MEMO entry, summed in floats as the walk did.
+   Separate lists are read straight off the entry; compound pairs live
+   inside the accumulator. *)
+let walked_kept (options : Cote.Accumulate.options) acc memo =
+  let total = ref 0.0 in
+  O.Memo.iter_entries
+    (fun e ->
+      let plans =
+        if options.Cote.Accumulate.separate_lists then
+          (List.length e.O.Memo.i_orders + 1)
+          * max 1 (List.length e.O.Memo.i_parts)
+        else Cote.Accumulate.entry_plans acc e
+      in
+      total := !total +. float_of_int plans)
+    memo;
+  !total
+
+(* One estimate pass, with [check acc memo] after every enumerator event —
+   where [Estimator.run_block] runs its budget check. *)
+let checked_pass ?(knobs = O.Knobs.default) ~options env block check =
+  let memo = O.Memo.create block in
+  let acc = Cote.Accumulate.create ~options env memo in
+  let c = Cote.Accumulate.consumer acc in
+  let after f x =
+    f x;
+    check acc memo
+  in
+  O.Enumerator.run ~knobs ~card_of:(Cote.Accumulate.card_of acc) memo
+    {
+      O.Enumerator.on_entry = after c.O.Enumerator.on_entry;
+      on_join = after c.O.Enumerator.on_join;
+    };
+  memo
+
+(* A reference estimate of [block]: the pass, and the estimator's
+   permissive retry when the top entry is unreachable, with the MEMO walk
+   after every event.  Returns the walked figures in event order and the
+   number of events where the running count disagreed with the walk, and
+   whether the pass ran to the end: it stops once the MEMO outgrows
+   [stop_at] entries. *)
+let walked_pass ?(knobs = O.Knobs.default) ?(stop_at = max_int) ~options env
+    block =
+  let walked = ref [] and bad = ref 0 in
+  let check acc memo =
+    let w = walked_kept options acc memo in
+    walked := w :: !walked;
+    if not (Float.equal w (float_of_int (Cote.Accumulate.kept_plans acc))) then
+      incr bad;
+    if O.Memo.n_entries memo > stop_at then raise Exit
+  in
+  let complete =
+    match checked_pass ~knobs ~options env block check with
+    | memo ->
+      if
+        O.Memo.find_opt memo (O.Query_block.all_tables block) = None
+        && O.Query_block.n_quantifiers block > 1
+      then
+        ignore
+          (checked_pass ~knobs:(O.Knobs.permissive knobs) ~options env block
+             check);
+      true
+    | exception Exit -> false
+  in
+  (List.rev !walked, !bad, complete)
+
+(* What a budget check on the walked figure raises under a kept-plan cap:
+   the first figure over the cap. *)
+let walked_outcome walked cap =
+  List.find_opt (fun w -> int_of_float w > cap) walked
+  |> Option.map (fun w ->
+         { O.Budget.b_what = "kept_plans"; b_limit = cap; b_reached = int_of_float w })
+
+let counted_outcome ?(knobs = O.Knobs.default) ~options env block cap =
+  let budget = O.Budget.make ~max_kept_plans:cap () in
+  match Cote.Estimator.estimate ~options ~budget ~knobs env block with
+  | _ -> None
+  | exception O.Budget.Exceeded b -> Some b
+
+(* The running count equals the walk after every event, and kept-plan
+   caps swept across the walked range raise the reference's record (or
+   none).  A pass cut at [stop_at] decides only the caps below its
+   largest figure. *)
+let count_agrees ?knobs ?stop_at ~options env block =
+  let block = { block with O.Query_block.children = [] } in
+  let walked, bad, complete = walked_pass ?knobs ?stop_at ~options env block in
+  let top = int_of_float (List.fold_left Float.max 0.0 walked) in
+  let caps =
+    List.sort_uniq compare
+      [ 0; 1; top / 16; top / 4; top / 2; 3 * top / 4; top - 1; top ]
+    |> List.filter (fun cap -> complete || cap < top)
+  in
+  walked <> [] && bad = 0
+  && List.for_all
+       (fun cap ->
+         walked_outcome walked cap = counted_outcome ?knobs ~options env block cap)
+       caps
+
+let parallel = O.Env.parallel ~nodes:4
+
+(* Chains and cycles in full, stars up to their first 1,000 entries. *)
+let counted_shapes =
+  List.concat_map
+    (fun n ->
+      [ (W.Giant.Chain, n, max_int); (W.Giant.Cycle, n, max_int); (W.Giant.Star, n, 1_000) ])
+    [ 12; 16; 20; 24 ]
+
+let corpus_blocks () =
+  let blocks env (wl : W.Workload.t) =
+    List.concat_map
+      (fun (q : W.Workload.query) ->
+        let acc = ref [] in
+        O.Query_block.iter_blocks
+          (fun b -> acc := (env, { b with O.Query_block.children = [] }) :: !acc)
+          q.W.Workload.block;
+        !acc)
+      wl.W.Workload.queries
+  in
+  List.concat_map
+    (fun (env, partitioned) ->
+      blocks env (W.Warehouse.real1_w ~partitioned)
+      @ blocks env (W.Warehouse.real2_w ~partitioned)
+      @ blocks env (W.Tpch.all ~partitioned))
+    [ (env, false); (parallel, true) ]
+
+let gen_warehouse_random =
+  QCheck2.Gen.(
+    let* seed = int_range 0 100_000 in
+    let* complexity = int_range 3 9 in
+    let* mode = oneofl list_modes in
+    return (seed, complexity, mode))
+
+let kept_count_tests =
+  [
+    t "giant shapes: the running kept count is the MEMO walk; caps agree"
+      (fun () ->
+        List.iter
+          (fun (name, options) ->
+            List.iter
+              (fun (shape, n, stop_at) ->
+                List.iter
+                  (fun (env, partitioned) ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s %s/%d%s" name (W.Giant.shape_name shape)
+                         n
+                         (if partitioned then " partitioned" else ""))
+                      true
+                      (count_agrees ~stop_at ~options env
+                         (W.Giant.block ~partitioned shape n)))
+                  [ (env, false); (parallel, true) ])
+              counted_shapes)
+          list_modes);
+    (* Every block but r1_q8 (3,067 entries) runs to the end. *)
+    t "real1/real2/tpch: the running kept count is the MEMO walk; caps agree"
+      (fun () ->
+        List.iter
+          (fun (name, options) ->
+            List.iter
+              (fun (env, b) ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s %s" name b.O.Query_block.name)
+                  true (count_agrees ~stop_at:1_000 ~options env b))
+              (corpus_blocks ()))
+          list_modes);
+    prop "random connected graphs: the count is the walk; caps agree" ~count:30
+      QCheck2.Gen.(pair gen_connected (oneofl list_modes))
+      (fun (((_, _, _, _, knobs, _) as g), (_, options)) ->
+        count_agrees ~knobs ~stop_at:1_000 ~options env (block_of_connected g));
+    prop "random warehouse queries: the count is the walk; caps agree" ~count:15
+      gen_warehouse_random (fun (seed, complexity, (_, options)) ->
+        let schema = W.Warehouse.schema ~partitioned:false in
+        let w = W.Random_gen.generate ~seed ~count:1 ~complexity ~schema () in
+        List.for_all
+          (fun (q : W.Workload.query) ->
+            let ok = ref true in
+            O.Query_block.iter_blocks
+              (fun b -> ok := !ok && count_agrees ~stop_at:1_000 ~options env b)
+              q.W.Workload.block;
+            !ok)
+          w.W.Workload.queries);
+  ]
+
 let suite =
   generator_tests @ fallback_tests @ budget_tests @ precheck_tests
-  @ regime_tests
+  @ kept_count_tests @ regime_tests

@@ -316,6 +316,136 @@ let lexer_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The template key's printer                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The [Format] printer [Ast.to_string] was before it wrote into a
+   [Buffer]: the key's reference text. *)
+module Format_printer = struct
+  let pp_col ppf (c : A.col) =
+    match c.A.c_table with
+    | None -> Format.pp_print_string ppf c.A.c_name
+    | Some t -> Format.fprintf ppf "%s.%s" t c.A.c_name
+
+  let pp_literal ppf = function
+    | A.Num f ->
+      if Float.is_integer f && Float.abs f < 1e15 then Format.fprintf ppf "%.0f" f
+      else Format.fprintf ppf "%g" f
+    | A.Str s -> Format.fprintf ppf "'%s'" s
+
+  let cmp_string = function
+    | A.Eq -> "="
+    | A.Lt -> "<"
+    | A.Le -> "<="
+    | A.Gt -> ">"
+    | A.Ge -> ">="
+
+  let pp_table_ref ppf (t : A.table_ref) =
+    match t.A.t_alias with
+    | None -> Format.pp_print_string ppf t.A.t_name
+    | Some a -> Format.fprintf ppf "%s %s" t.A.t_name a
+
+  let sep s ppf () = Format.pp_print_string ppf s
+
+  let rec pp_condition ppf = function
+    | A.Cmp_cols (a, op, b) ->
+      Format.fprintf ppf "%a %s %a" pp_col a (cmp_string op) pp_col b
+    | A.Cmp_lit (c, op, l) ->
+      Format.fprintf ppf "%a %s %a" pp_col c (cmp_string op) pp_literal l
+    | A.In_list (c, ls) ->
+      Format.fprintf ppf "%a IN (%a)" pp_col c
+        (Format.pp_print_list ~pp_sep:(sep ", ") pp_literal)
+        ls
+    | A.Exists s -> Format.fprintf ppf "EXISTS (%a)" pp_select s
+    | A.In_subquery (c, s) -> Format.fprintf ppf "%a IN (%a)" pp_col c pp_select s
+
+  and pp_sel_item ppf = function
+    | A.Star -> Format.pp_print_string ppf "*"
+    | A.Col_item c -> pp_col ppf c
+    | A.Agg (f, c) -> Format.fprintf ppf "%s(%a)" f pp_col c
+
+  and pp_select ppf (s : A.select) =
+    Format.fprintf ppf "SELECT %a FROM %a"
+      (Format.pp_print_list ~pp_sep:(sep ", ") pp_sel_item)
+      s.A.sel_items
+      (Format.pp_print_list ~pp_sep:(sep ", ") pp_table_ref)
+      s.A.sel_from;
+    List.iter
+      (fun (j : A.join_clause) ->
+        Format.fprintf ppf " %s %a ON %a"
+          (match j.A.j_kind with A.Inner -> "JOIN" | A.Left_outer -> "LEFT JOIN")
+          pp_table_ref j.A.j_table
+          (Format.pp_print_list ~pp_sep:(sep " AND ") pp_condition)
+          j.A.j_on)
+      s.A.sel_joins;
+    (match s.A.sel_where with
+    | [] -> ()
+    | conds ->
+      Format.fprintf ppf " WHERE %a"
+        (Format.pp_print_list ~pp_sep:(sep " AND ") pp_condition)
+        conds);
+    (match s.A.sel_group_by with
+    | [] -> ()
+    | cols ->
+      Format.fprintf ppf " GROUP BY %a" (Format.pp_print_list ~pp_sep:(sep ", ") pp_col) cols);
+    (match s.A.sel_order_by with
+    | [] -> ()
+    | cols ->
+      Format.fprintf ppf " ORDER BY %a" (Format.pp_print_list ~pp_sep:(sep ", ") pp_col) cols);
+    match s.A.sel_limit with
+    | None -> ()
+    | Some n -> Format.fprintf ppf " LIMIT %d" n
+
+  let to_string s = Format.asprintf "%a" pp_select s
+end
+
+(* A walk dressed with what the walks leave out: star and aggregate items,
+   ORDER BY, LIMIT, and a filter on any float, special values too. *)
+let gen_dressed =
+  let open QCheck2.Gen in
+  let* sel = gen_select in
+  let* items =
+    list_size (int_range 1 3)
+      (oneofl
+         [ A.Star; A.Agg ("COUNT", A.col "x"); A.Col_item (A.col ~table:"t0" "y") ])
+  in
+  let* order = bool in
+  let* limit = option (int_range (-5) 100_000) in
+  let* f =
+    oneof
+      [
+        float;
+        oneofl [ 0.0; -0.0; 1e15; -1e15; 1e15 -. 1.0; 0.1; nan; infinity; neg_infinity ];
+      ]
+  in
+  let where = A.Cmp_lit (A.col "z", A.Lt, A.Num f) :: sel.A.sel_where in
+  return
+    {
+      sel with
+      A.sel_items = items;
+      sel_where = where;
+      sel_order_by = (if order then [ A.col ~table:"t0" "y"; A.col "x" ] else []);
+      sel_limit = limit;
+    }
+
+let prints_alike sel =
+  A.to_string sel = Format_printer.to_string sel
+  && (Template.normalize sel).Template.key
+     = Format_printer.to_string (Template.normalize sel).Template.shape
+
+let printer_tests =
+  [
+    t "corpus: the key printer writes what the Format printer wrote" (fun () ->
+        List.iter
+          (fun (_, sql) ->
+            if not (prints_alike (Parser.parse sql)) then
+              Alcotest.failf "prints differently: %s" sql)
+          corpus);
+    prop "walks: the key printer writes what the Format printer wrote" ~count:300
+      gen_dressed prints_alike;
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Frontdoor.prepare through the map                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -402,4 +532,4 @@ let prepare_tests =
             "lexer error" ("unterminated string literal", 7) (msg, at));
   ]
 
-let suite = lexer_tests @ prepare_tests
+let suite = lexer_tests @ printer_tests @ prepare_tests
