@@ -866,9 +866,7 @@ let fleet_rows () =
             {
               exe = qopt_exe;
               argv =
-                [|
-                  "qopt"; "serve"; "--workers"; "1"; "--trust-hints"; "-s"; sock;
-                |];
+                [| "qopt"; "serve"; "--workers"; "1"; "-s"; sock |];
             };
       }
     in

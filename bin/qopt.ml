@@ -611,17 +611,9 @@ let serve_cmd =
       & info [ "recalib-min-interval" ] ~docv:"N"
           ~doc:"observations that must separate consecutive refit attempts")
   in
-  let trust_hints_term =
-    Arg.(
-      value & flag
-      & info [ "trust-hints" ]
-          ~doc:"admit compile requests on their estimate_hint_s instead of \
-                running a local COTE pass (fleet backends behind a router \
-                that estimates once); ignored when --downgrade-s is set")
-  in
   let run env socket tcp workers mode model per_request aggregate max_queue
       downgrade deadline plan_cache plan_cache_slack recalibrate recalib_window
-      recalib_drift recalib_min_interval trust_hints max_memo_entries
+      recalib_drift recalib_min_interval max_memo_entries
       max_kept_plans =
     wrap (fun () ->
         let mode =
@@ -679,7 +671,6 @@ let serve_cmd =
                      min_refit_interval = recalib_min_interval;
                    }
                else None);
-            trust_hints;
             budget =
               O.Budget.make ?max_memo_entries ?max_kept_plans ();
             helpers;
@@ -710,8 +701,8 @@ let serve_cmd =
        $ mode_term $ model_term $ per_request_term $ aggregate_term
        $ max_queue_term $ downgrade_term $ deadline_term $ plan_cache_term
        $ plan_cache_slack_term $ recalibrate_term $ recalib_window_term
-       $ recalib_drift_term $ recalib_min_interval_term $ trust_hints_term
-       $ max_memo_entries_term $ max_kept_plans_term))
+       $ recalib_drift_term $ recalib_min_interval_term $ max_memo_entries_term
+       $ max_kept_plans_term))
 
 let fleet_cmd =
   let backends_term =
@@ -784,8 +775,8 @@ let fleet_cmd =
         let spec i =
           let addr = backend_addr i in
           let argv =
-            [ "qopt"; "serve"; "--workers"; string_of_int workers;
-              "--trust-hints"; "--model"; Cote.Time_model.to_string model ]
+            [ "qopt"; "serve"; "--workers"; string_of_int workers; "--model";
+              Cote.Time_model.to_string model ]
             @ (if plan_cache then [ "--plan-cache" ] else [])
             @ caps "--max-memo-entries" max_memo_entries
             @ caps "--max-kept-plans" max_kept_plans
@@ -842,7 +833,7 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet"
        ~doc:"Route compiles across a fleet of spawned backend servers \
-             (estimate once, tier by predicted time, fail over on death)")
+             (tier by predicted time, fail over on death)")
     Term.(
       ret
         (const run $ env_term $ socket_term $ tcp_term $ backends_term

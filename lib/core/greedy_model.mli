@@ -20,11 +20,10 @@ type t = {
   g_restart : float;  (** seconds per randomized restart *)
 }
 
-val make : g_quant:float -> g_edge:float -> g_restart:float -> unit -> t
-
 val default : t
-(** Coefficients fitted on the giant workload in the reference environment;
-    re-fit with {!fit} elsewhere, exactly like the DP model. *)
+(** Coefficients fitted on the giant workload in the reference environment.
+    There is no fitter: the greedy regime's actuals refine admission
+    through the statement cache's ["greedy"] tag instead. *)
 
 val predict : t -> quantifiers:int -> edges:int -> restarts:int -> float
 (** Predicted fallback compile seconds. *)
@@ -32,16 +31,5 @@ val predict : t -> quantifiers:int -> edges:int -> restarts:int -> float
 val predict_fallback : t -> O.Optimizer.fallback -> float
 (** {!predict} over a completed fallback's recorded features — used to
     score the model's own accuracy after the fact. *)
-
-type observation = {
-  gob_quant : float;
-  gob_edges : float;
-  gob_restarts : float;
-  gob_seconds : float;  (** measured fallback wall-clock seconds *)
-}
-
-val fit : observation list -> t
-(** Non-negative least squares, mirroring {!Calibrate.fit}.  Raises
-    [Invalid_argument] on an empty list. *)
 
 val pp : Format.formatter -> t -> unit

@@ -278,7 +278,7 @@ let rpc t ~timeout_s mk =
    than queueing on a probe.  A probe reaps + respawns a dead Spawn
    process, reconnects, and must complete a stats round trip before the
    backend re-enters rotation. *)
-let try_probe t ~probe_after_s ~respawn =
+let try_probe t ~probe_after_s =
   let claimed =
     Mutex.protect t.lock (fun () ->
         match t.down_since with
@@ -305,7 +305,7 @@ let try_probe t ~probe_after_s ~respawn =
             reap_locked t;
             t.pid = None)
       in
-      if dead && respawn then
+      if dead then
         let pid = spawn_process exe argv in
         Mutex.protect t.lock (fun () -> t.pid <- Some pid));
     match open_chan ~attempts:8 ~on_lost:(lost t) t.spec.sp_addr with

@@ -15,8 +15,8 @@
     leaves rotation at once, with or without traffic to notice.  Readmission goes through
     {!try_probe}: at most one prober at a time, only after a cool-down,
     and the backend must answer a stats round trip before re-entering
-    rotation; a dead spawned process is reaped and (optionally)
-    respawned by the probe. *)
+    rotation; a dead spawned process is reaped and respawned by the
+    probe. *)
 
 module Srv = Qopt_server
 
@@ -80,10 +80,10 @@ val mark_down : t -> unit
     {!rpc}s observe [Unreachable].  Also reaps an exited spawned
     process.  Idempotent. *)
 
-val try_probe : t -> probe_after_s:float -> respawn:bool -> bool
+val try_probe : t -> probe_after_s:float -> bool
 (** Attempt readmission if the backend has been down at least
     [probe_after_s] and no other probe is running: reap/respawn (when
-    [Spawn] and [respawn]), reconnect, and require a stats round trip.
+    [Spawn]), reconnect, and require a stats round trip.
     [true] iff the backend is back in rotation. *)
 
 val shutdown : ?timeout_s:float -> t -> unit

@@ -15,12 +15,7 @@ type config = {
   model_fit_s : float;
   budget : O.Budget.t;
   schemas : (string * Qopt_catalog.Schema.t) list;
-  levels : Cote.Multi_level.level list;
-  latency_timeout_s : float;
-  throughput_timeout_s : float;
-  backoff_cap_s : float;
   probe_after_s : float;
-  respawn : bool;
 }
 
 let default_config ~listen ~backends ~model ~schemas () =
@@ -35,13 +30,16 @@ let default_config ~listen ~backends ~model ~schemas () =
     model_fit_s = 0.0;
     budget = O.Budget.unlimited;
     schemas;
-    levels = Srv.Level.default_levels;
-    latency_timeout_s = 10.0;
-    throughput_timeout_s = 60.0;
-    backoff_cap_s = 0.05;
     probe_after_s = 0.25;
-    respawn = true;
   }
+
+(* Backend rpc timeouts per tier, and the cap on a server-advised retry
+   backoff. *)
+let latency_timeout_s = 10.0
+
+let throughput_timeout_s = 60.0
+
+let backoff_cap_s = 0.05
 
 (* ------------------------------------------------------------------ *)
 (* fleet.* metrics                                                     *)
@@ -97,24 +95,24 @@ type t = {
 let shutting t = Mutex.protect t.lock (fun () -> t.shutting)
 
 (* ------------------------------------------------------------------ *)
-(* Estimation (once, at the front door)                                *)
+(* Estimation (to answer [estimate] and to route)                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The fleet's "estimate once" point: one COTE pass here, refined by the
-   router's own statement cache (fed by elapsed times out of compile
-   replies), and the result rides to the backend as estimate_hint_s so a
-   trust-hints backend never re-estimates.  The pass runs under the
-   router's budget, so a giant join graph raises [Budget.Exceeded] after
-   the cheap dry run instead of growing the MEMO without bound. *)
+(* The router's COTE pass, refined by its own statement cache (fed by
+   elapsed times out of compile replies).  It answers [estimate] and
+   picks a compile's tier; the backend prices the compile again with its
+   own pass to admit it, so nothing the router computes rides along.  The
+   pass runs under the router's budget, so a giant join graph raises
+   [Budget.Exceeded] after the cheap dry run instead of growing the MEMO
+   without bound. *)
 let evaluate t (p : Srv.Frontdoor.prepared) =
-  Srv.Frontdoor.evaluate t.cfg.env ~model:t.cfg.model ~levels:t.cfg.levels
-    ~downgrade_s:None ~budget:t.cfg.budget t.cache ~key:p.p_key p.p_block
+  Srv.Frontdoor.evaluate t.cfg.env ~model:t.cfg.model ~downgrade_s:None
+    ~budget:t.cfg.budget t.cache ~key:p.p_key p.p_block
 
-(* The hint for a compile.  One whose DP pass blows the budget goes out
-   with none, and the backend's own budgeted pass picks the regime. *)
-let hint t p =
+(* A compile's pass; [None] when it blows the DP budget. *)
+let evaluate_compile t p =
   match evaluate t p with
-  | ev -> Some ev.Srv.Frontdoor.ev_predicted_s
+  | ev -> Some ev
   | exception O.Budget.Exceeded _ -> None
 
 let prepare t ~id ~sql ~schema =
@@ -126,9 +124,15 @@ let prepare t ~id ~sql ~schema =
 
 type tier = Latency | Throughput
 
-(* A compile with no hint blew the DP budget: a giant query. *)
+(* The tier follows the model prediction, which depends on the query
+   alone.  The statement cache's refinement is a measured actual that
+   moves with load: one slow compile of a small template would send its
+   repeats to the other tier, away from their backend's warm caches.  A
+   compile whose pass blew the DP budget is a giant query. *)
 let tier_of t = function
-  | Some predicted_s when predicted_s <= t.cfg.threshold_s -> Latency
+  | Some ev
+    when ev.Srv.Frontdoor.ev_choice.Srv.Level.predicted_s <= t.cfg.threshold_s ->
+    Latency
   | Some _ | None -> Throughput
 
 let tier_size t =
@@ -168,7 +172,6 @@ let available t b =
   Backend.is_up b
   || (not (shutting t))
      && Backend.try_probe b ~probe_after_s:t.cfg.probe_after_s
-          ~respawn:t.cfg.respawn
      && begin
           Obs.Counter.incr m_readmissions;
           true
@@ -178,20 +181,21 @@ let available t b =
 (* Dispatch with retry / failover                                      *)
 (* ------------------------------------------------------------------ *)
 
-let dispatch t ~orig_id ~sql ~deadline_ms (p : Srv.Frontdoor.prepared)
-    predicted_s =
-  let tier = tier_of t predicted_s in
+let dispatch t ~orig_id ~sql ~deadline_ms (p : Srv.Frontdoor.prepared) ev =
+  let tier = tier_of t ev in
   let estimate_us =
-    Option.fold ~none:0.0 ~some:(fun s -> s *. 1e6) predicted_s
+    Option.fold ~none:0.0
+      ~some:(fun ev -> ev.Srv.Frontdoor.ev_predicted_s *. 1e6)
+      ev
   in
   let timeout_s =
     match tier with
     | Latency ->
       Obs.Counter.incr m_routed_latency;
-      t.cfg.latency_timeout_s
+      latency_timeout_s
     | Throughput ->
       Obs.Counter.incr m_routed_throughput;
-      t.cfg.throughput_timeout_s
+      throughput_timeout_s
   in
   let primary = order t ~key:p.p_key (tier_members t tier) in
   let home = List.map Backend.index primary in
@@ -211,7 +215,7 @@ let dispatch t ~orig_id ~sql ~deadline_ms (p : Srv.Frontdoor.prepared)
         sql;
         schema = Some p.p_schema;
         deadline_ms;
-        estimate_hint_s = predicted_s;
+        estimate_hint_s = None;
       }
   in
   let finalize b reply =
@@ -221,9 +225,10 @@ let dispatch t ~orig_id ~sql ~deadline_ms (p : Srv.Frontdoor.prepared)
       (* Feed the router's statement cache from the measured elapsed so
          the next estimate for this shape is an observed actual.  Plan
          hits report 0 elapsed — recording those would poison estimates —
-         and a hint-less compile's actual would never be looked up. *)
+         and the actual of a compile whose pass blew the budget would
+         never be looked up. *)
       if
-        predicted_s <> None
+        Option.is_some ev
         && (not body.Srv.Proto.c_plan_cached)
         && body.Srv.Proto.c_elapsed_s > 0.0
       then
@@ -250,7 +255,7 @@ let dispatch t ~orig_id ~sql ~deadline_ms (p : Srv.Frontdoor.prepared)
       match retry_after_us with
       | Some us when may_retry && not (shutting t) ->
         Obs.Counter.incr m_retries;
-        Thread.delay (Float.min (us *. 1e-6) t.cfg.backoff_cap_s);
+        Thread.delay (Float.min (us *. 1e-6) backoff_cap_s);
         attempt b ~may_retry:false
       | _ -> `Rejected reply)
     | Backend.Reply reply -> `Served reply
@@ -357,7 +362,9 @@ let handle t conn req =
     Srv.Frontdoor.spawn conn ~id (fun () ->
         let t0 = Timer.monotonic_now () in
         let p = prepare t ~id ~sql ~schema in
-        let reply = dispatch t ~orig_id:id ~sql ~deadline_ms p (hint t p) in
+        let reply =
+          dispatch t ~orig_id:id ~sql ~deadline_ms p (evaluate_compile t p)
+        in
         Obs.Histo.observe m_latency (Timer.monotonic_now () -. t0);
         Srv.Frontdoor.send conn reply)
   | Srv.Proto.Estimate { id; sql; schema } ->
@@ -385,10 +392,8 @@ let prober t () =
       Array.iter
         (fun b ->
           if (not (Backend.is_up b)) && not (shutting t) then
-            if
-              Backend.try_probe b ~probe_after_s:t.cfg.probe_after_s
-                ~respawn:t.cfg.respawn
-            then Obs.Counter.incr m_readmissions)
+            if Backend.try_probe b ~probe_after_s:t.cfg.probe_after_s then
+              Obs.Counter.incr m_readmissions)
         t.backends;
       Thread.delay 0.05;
       loop ()

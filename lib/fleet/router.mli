@@ -1,5 +1,5 @@
-(** The fleet front door: one process that estimates every compile once
-    and routes it to a fleet of independent [qopt serve] backends.
+(** The fleet front door: one process that estimates every compile to
+    route it to one of a fleet of independent [qopt serve] backends.
 
     Process isolation is the point — each backend runs its own OCaml
     runtime, so one backend's stop-the-world minor GC (or its death)
@@ -8,30 +8,32 @@
 
     Routing pipeline per compile request:
 
-    + {b Estimate once}: parse + bind at the router, run one COTE pass
-      under [budget] over the configured level chain, refine with the
-      router's shared statement cache under the template key (fed back
-      from measured [c_elapsed_s] in compile replies).  The refined
-      estimate rides along as [estimate_hint_s], so backends started
-      with [--trust-hints] skip their own pass.  A compile whose pass
-      blows the budget goes out with no hint.
-    + {b Tier}: predicted seconds at or under [threshold_s] go to the
-      latency tier (backends [0, latency_tier)), the rest and hint-less
-      compiles to the throughput tier (the remaining backends, with a
-      higher timeout).
+    + {b Estimate to route}: parse + bind at the router and run one COTE
+      pass under [budget] at the first level of
+      {!Qopt_server.Level.default_levels}.  The request goes on without
+      it ([estimate_hint_s] is [None]): the backend estimates again to
+      admit, so every backend prices its own compiles.
+    + {b Tier}: a model prediction at or under [threshold_s] goes to the
+      latency tier (backends [0, latency_tier)), the rest, and compiles
+      whose pass blew the budget, to the throughput tier (the remaining
+      backends, with a 60 s timeout against the latency tier's 10 s).
+      The tier reads the model alone, never a measured actual, so a
+      template's repeats stay on one tier whatever the load.
     + {b Affinity}: within the tier, candidates are ordered by
       rendezvous hash over the schema-qualified template key, so repeat
       templates land on the same backend (warm statement + plan
       caches); with [affinity = false], least-inflight wins.
     + {b Retry / failover}: a rejection carrying [retry_after_us] earns
       one same-backend retry after the advised backoff (capped at
-      [backoff_cap_s]); a dead channel marks the backend down and fails
-      over along the candidate order — a SIGKILLed backend costs an
-      in-flight request one retry, never a wedge.  Down backends are
-      re-admitted by a single-flight probe after [probe_after_s]
-      (respawning a dead spawned process when [respawn]).
+      50 ms); a dead channel marks the backend down and fails over along
+      the candidate order — a SIGKILLed backend costs an in-flight
+      request one retry, never a wedge.  Down backends are re-admitted
+      by a single-flight probe after [probe_after_s], which respawns a
+      dead spawned process.
 
-    The router also answers [estimate] (locally, no backend hop),
+    The router also answers [estimate] (locally, no backend hop; the
+    prediction is refined by the router's statement cache, fed from the
+    measured [c_elapsed_s] of compile replies),
     [stats] (per-backend health + live backend stats + the router's
     [fleet.*] metrics and serving model), and [shutdown] (drains
     backends first).
@@ -58,15 +60,10 @@ type config = {
   budget : O.Budget.t;
       (** caps on the router's COTE pass.  A budget error answers an
           [estimate] with the server's [error] reply; a [compile] goes
-          to the throughput tier with no hint, so the backend (run with
-          the same caps) picks the regime. *)
+          to the throughput tier, where the backend (run with the same
+          caps) picks the regime. *)
   schemas : (string * Qopt_catalog.Schema.t) list;
-  levels : Cote.Multi_level.level list;
-  latency_timeout_s : float;
-  throughput_timeout_s : float;
-  backoff_cap_s : float;  (** cap on server-advised retry backoff *)
   probe_after_s : float;  (** down-time before a readmission probe *)
-  respawn : bool;  (** probes may respawn dead spawned backends *)
 }
 
 val default_config :
@@ -77,9 +74,8 @@ val default_config :
   unit ->
   config
 (** [latency_tier = n-1] (one throughput backend), [threshold_s =
-    0.5ms], affinity on, serial env, no fit time, unlimited budget,
-    default level chain, 10s/60s tier timeouts, 50ms backoff cap, 250ms
-    probe cool-down, respawn on. *)
+    0.5ms], affinity on, serial env, no fit time, unlimited budget, 250ms
+    probe cool-down. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Spawn/connect every backend (fails if any never comes up), listen,

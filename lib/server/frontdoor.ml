@@ -344,9 +344,9 @@ type evaluation = {
 (* The statement cache refines the predicted seconds (a recorded actual
    beats the model) while the COTE pass still supplies the plan-count
    fields of the reply. *)
-let evaluate env ~model ~levels ~downgrade_s ~budget cache ~key block =
+let evaluate env ~model ~downgrade_s ~budget cache ~key block =
   let choice =
-    Level.select ~levels ~downgrade_s ~predict:(fun knobs ->
+    Level.select ~levels:Level.default_levels ~downgrade_s ~predict:(fun knobs ->
         Cote.Predict.compile_time ~budget ~knobs ~model env block)
   in
   let cached =

@@ -135,14 +135,14 @@ type evaluation = {
 val evaluate :
   O.Env.t ->
   model:Cote.Time_model.t ->
-  levels:Cote.Multi_level.level list ->
   downgrade_s:float option ->
   budget:O.Budget.t ->
   Cote.Stmt_cache.t ->
   key:string ->
   O.Query_block.t ->
   evaluation
-(** {!Level.select} with {!Cote.Predict.compile_time} under [budget], then
+(** {!Level.select} over {!Level.default_levels} with
+    {!Cote.Predict.compile_time} under [budget], then
     the statement-cache lookup by [key], tagged with the chosen level (an
     actual measured at a downgraded level never refines a full-level
     request).  Raises {!O.Budget.Exceeded} when the budgeted pass blows. *)

@@ -28,11 +28,12 @@ type request =
       schema : string option;
       deadline_ms : float option;  (** relative to arrival, milliseconds *)
       estimate_hint_s : float option;
-          (** predicted compilation seconds, computed upstream (the fleet
-              router estimates once and forwards); a server started with
-              trust-hints admits on this instead of re-running its own
-              COTE pass.  Only rendered when present, so hint-less
-              requests are byte-identical to the pre-fleet format. *)
+          (** predicted compilation seconds, computed upstream.  Accepted
+              and ignored: a server prices every compile with its own
+              COTE pass, and the fleet router sends [None].  The field
+              stays on the wire so older routers' requests still parse.
+              Only rendered when present, so hint-less requests are
+              byte-identical to the pre-fleet format. *)
     }
   | Stats of { id : int }
   | Shutdown of { id : int }

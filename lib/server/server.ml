@@ -13,17 +13,11 @@ type config = {
   workers : int;
   mode : Sched.mode;
   admission : Admission.policy;
-  levels : Cote.Multi_level.level list;
   downgrade_s : float option;
   default_deadline_s : float option;
   schemas : (string * Qopt_catalog.Schema.t) list;
   plan_cache : Cote.Plan_cache.config option;
   recalibrate : Cote.Recalibrate.config option;
-  trust_hints : bool;
-      (* admit on a request's [estimate_hint_s] instead of running a
-         local COTE pass — for fleet backends behind a router that
-         estimates once.  Only honored when no downgrade decision needs
-         a local per-level prediction. *)
   budget : O.Budget.t;
       (* resource caps on every DP pass, estimate and compile alike: a
          giant join graph aborts with [Budget.Exceeded] instead of
@@ -41,13 +35,11 @@ let default_config ~listen ~model ~schemas () =
     workers = 1;
     mode = Sched.Sjf;
     admission = Admission.unlimited;
-    levels = Level.default_levels;
     downgrade_s = None;
     default_deadline_s = None;
     schemas;
     plan_cache = None;
     recalibrate = None;
-    trust_hints = false;
     budget = O.Budget.unlimited;
     helpers = None;
   }
@@ -182,11 +174,11 @@ let stats_json t ~workers =
 (* Request evaluation (connection threads)                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The shared COTE pass under this server's levels, downgrade threshold
-   and budget, with its downgrade steps counted. *)
+(* The shared COTE pass under this server's downgrade threshold and
+   budget, with its downgrade steps counted. *)
 let evaluate t ~key block =
   let ev =
-    Frontdoor.evaluate t.cfg.env ~model:(current_model t) ~levels:t.cfg.levels
+    Frontdoor.evaluate t.cfg.env ~model:(current_model t)
       ~downgrade_s:t.cfg.downgrade_s ~budget:t.cfg.budget t.cache ~key block
   in
   ignore (Atomic.fetch_and_add t.n_downgrades ev.Frontdoor.ev_choice.Level.downgrades);
@@ -442,8 +434,7 @@ let greedy_predicted block =
   Cote.Greedy_model.predict Cote.Greedy_model.default ~quantifiers:!quantifiers
     ~edges:!edges ~restarts:greedy_restarts
 
-let compile_cold t ~workers conn req_id ~arrival ~key ~estimate_hint_s block
-    deadline_ms =
+let compile_cold t ~workers conn req_id ~arrival ~key block deadline_ms =
   let deadline_s =
     match deadline_ms with
     | Some ms -> Some (ms /. 1000.0)
@@ -453,45 +444,28 @@ let compile_cold t ~workers conn req_id ~arrival ~key ~estimate_hint_s block
      same budget as the compile, so on a giant graph it aborts (cheaply)
      instead of exploding — [None] here means DP is infeasible outright. *)
   let dp_choice =
-    match estimate_hint_s with
-    | Some hint when t.cfg.trust_hints && t.cfg.downgrade_s = None ->
-      (* The router already ran the COTE pass — once, refined against its
-         own statement cache — and with no downgrade decision to make
-         there is nothing a local per-level prediction would add, so
-         admit on the hint and skip the estimation cost entirely.  The
-         hint stands in for the model prediction too: router and backend
-         serve the same model family. *)
-      let level = List.hd t.cfg.levels in
-      Some
-        ( level.Cote.Multi_level.level_knobs,
-          level.Cote.Multi_level.level_name,
-          hint,
-          hint,
-          false )
-    | Some _ | None -> (
-      match evaluate t ~key block with
-      | ev ->
-        let choice = ev.Frontdoor.ev_choice in
-        Some
-          ( choice.Level.level.Cote.Multi_level.level_knobs,
-            choice.Level.level.Cote.Multi_level.level_name,
-            ev.Frontdoor.ev_predicted_s,
-            choice.Level.predicted_s,
-            ev.Frontdoor.ev_cache_hit )
-      | exception O.Budget.Exceeded _ -> None)
+    match evaluate t ~key block with
+    | ev -> Some ev
+    | exception O.Budget.Exceeded _ -> None
   in
   let greedy_s = greedy_predicted block in
   let decision =
     Cote.Regime.decide ?deadline_s
-      ~dp_s:(Option.map (fun (_, _, p, _, _) -> p) dp_choice)
+      ~dp_s:(Option.map (fun ev -> ev.Frontdoor.ev_predicted_s) dp_choice)
       ~greedy_s ()
   in
   Cote.Regime.record decision;
   let knobs, level_name, predicted_s, model_s, cache_hit, regime =
     match (decision.Cote.Regime.d_regime, dp_choice) with
-    | Cote.Regime.Dp, Some (k, n, p, m, c) ->
+    | Cote.Regime.Dp, Some ev ->
       Atomic.incr t.n_regime_dp;
-      (k, n, p, m, c, Cote.Regime.Dp)
+      let choice = ev.Frontdoor.ev_choice in
+      ( choice.Level.level.Cote.Multi_level.level_knobs,
+        choice.Level.level.Cote.Multi_level.level_name,
+        ev.Frontdoor.ev_predicted_s,
+        choice.Level.predicted_s,
+        ev.Frontdoor.ev_cache_hit,
+        Cote.Regime.Dp )
     | _ ->
       (* Greedy admission gets the same statement-cache refinement as DP,
          keyed under its own tag: a recorded greedy actual beats the
@@ -532,14 +506,14 @@ let compile_cold t ~workers conn req_id ~arrival ~key ~estimate_hint_s block
       cancel_job t job "shutdown"
   end
 
-let handle_compile t ~workers conn ~id ~sql ~schema ~deadline_ms ~estimate_hint_s =
+let handle_compile t ~workers conn ~id ~sql ~schema ~deadline_ms =
   let arrival = Timer.monotonic_now () in
   let p =
     Frontdoor.prepare ?shapes:t.shapes ~who:"server" t.cfg.schemas ~id ~sql ~schema
   in
   let cold () =
-    compile_cold t ~workers conn id ~arrival ~key:p.Frontdoor.p_key ~estimate_hint_s
-      p.Frontdoor.p_block deadline_ms
+    compile_cold t ~workers conn id ~arrival ~key:p.Frontdoor.p_key p.Frontdoor.p_block
+      deadline_ms
   in
   match t.pcache with
   | None -> cold ()
@@ -579,8 +553,10 @@ let handle t ~workers conn req =
     let ev = evaluate t ~key:p.Frontdoor.p_key p.Frontdoor.p_block in
     Atomic.incr t.n_estimates;
     Frontdoor.send conn (Frontdoor.estimate_reply id ev)
-  | Proto.Compile { id; sql; schema; deadline_ms; estimate_hint_s } ->
-    handle_compile t ~workers conn ~id ~sql ~schema ~deadline_ms ~estimate_hint_s
+  | Proto.Compile { id; sql; schema; deadline_ms; estimate_hint_s = _ } ->
+    (* A hint from upstream is ignored: this server prices every compile
+       with its own COTE pass. *)
+    handle_compile t ~workers conn ~id ~sql ~schema ~deadline_ms
   | Proto.Stats { id } -> Frontdoor.send conn (Proto.R_stats (id, stats_json t ~workers))
   | Proto.Shutdown { id } ->
     Frontdoor.send conn (Proto.R_ok id);

@@ -15,6 +15,9 @@
     - {b level selection} ({!Level}): estimates above a threshold
       downgrade the optimization level before compiling.
 
+    The pass is always the server's own: a compile's [estimate_hint_s] is
+    ignored, so no client can price its way past admission.
+
     The socket side — listener, one thread per connection, framing,
     replies, schema resolution, parse/bind/template key, the COTE pass and
     the [error] replies for bad input — is {!Frontdoor}'s; this module is
@@ -65,9 +68,9 @@ type config = {
           every live one is busy *)
   mode : Sched.mode;
   admission : Admission.policy;
-  levels : Cote.Multi_level.level list;  (** most- to least-expensive *)
   downgrade_s : float option;
-      (** predictions above this walk down [levels] before compiling *)
+      (** predictions above this walk down {!Level.default_levels} before
+          compiling *)
   default_deadline_s : float option;
       (** applied to compile requests that carry no [deadline_ms] *)
   schemas : (string * Qopt_catalog.Schema.t) list;
@@ -100,14 +103,6 @@ type config = {
           atomically — admission, SJF priorities and level selection all
           use the corrected model from the next request on.  [None] (the
           default) serves [model] unchanged forever. *)
-  trust_hints : bool;
-      (** admit compile requests on their [estimate_hint_s] (when
-          present) instead of running a local COTE pass — for fleet
-          backends behind a {!Qopt_fleet.Router} that estimates once at
-          the front door.  Only honored when [downgrade_s] is [None]:
-          a downgrade decision needs the local per-level predictions.
-          Hint-less requests estimate locally as always.  Default
-          [false]. *)
   budget : O.Budget.t;
       (** resource caps applied to every DP pass — the budgeted estimate
           at admission and the real compile in the worker alike.  A giant
@@ -131,9 +126,8 @@ val default_config :
   schemas:(string * Qopt_catalog.Schema.t) list ->
   unit ->
   config
-(** Serial env, 1 worker, SJF, unlimited admission, {!Level.default_levels},
-    no downgrade threshold, no default deadline, unlimited budget, no
-    helpers. *)
+(** Serial env, 1 worker, SJF, unlimited admission, no downgrade
+    threshold, no default deadline, unlimited budget, no helpers. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Serves ({!Frontdoor.serve}) until a [shutdown] request arrives, then

@@ -182,6 +182,19 @@ let compile_exn c sql =
 
 let counter name = Obs.Registry.counter_value Obs.Registry.default name
 
+let stats_doc c =
+  match request_exn c (Srv.Proto.Stats { id = Srv.Client.fresh_id c }) with
+  | Srv.Proto.R_stats (_, doc) -> doc
+  | _ -> Alcotest.fail "expected stats reply"
+
+let estimate_s c sql =
+  let id = Srv.Client.fresh_id c in
+  match request_exn c (Srv.Proto.Estimate { id; sql; schema = None }) with
+  | Srv.Proto.R_estimate (_, e) -> e.Srv.Proto.e_predicted_s
+  | r ->
+    Alcotest.failf "expected estimate reply, got %s"
+      (J.to_string (Srv.Proto.reply_to_json r))
+
 (* Per-backend compile counts out of the router's aggregated stats doc
    (each backend entry nests the live server stats). *)
 let backend_compiles doc =
@@ -204,9 +217,8 @@ let router_tests =
   [
     t "fleet compile equals a direct single server bit-for-bit" (fun () ->
         (* Deterministic reply fields must be unchanged by the extra hop:
-           same plan, same costs, same predicted seconds (backends here
-           do not trust hints, so they run the same COTE the single
-           server runs). *)
+           same plan, same costs, same predicted seconds (every backend
+           runs the same COTE the single server runs). *)
         let direct = ref [] in
         let spath = next_sock "direct" in
         let sthread = start_inproc_server spath in
@@ -307,6 +319,32 @@ let router_tests =
                   (counter "fleet.affinity_hits" - hits0);
                 Alcotest.(check int) "affinity accounted" 20
                   (counter "fleet.affinity_total" - total0))));
+    t "a template's tier follows the model, not its measured actuals"
+      (fun () ->
+        (* The single-table template's model prediction is 0 s (no
+           joins), so under a 0 s threshold it belongs to the latency
+           tier, while every measured actual the router's statement cache
+           records is above the threshold.  A tier read from the refined
+           prediction would send each repeat after the first to the
+           throughput tier's backend. *)
+        with_fleet ~n:3
+          ~configure:(fun c -> { c with F.Router.threshold_s = 0.0 })
+          (fun addr ->
+            let c = Srv.Client.connect addr in
+            Fun.protect
+              ~finally:(fun () -> Srv.Client.close c)
+              (fun () ->
+                Alcotest.(check (float 0.0)) "model prediction" 0.0
+                  (estimate_s c (small_sql 0));
+                let latency0 = counter "fleet.routed_latency_tier" in
+                for i = 1 to 20 do
+                  ignore (compile_exn c (small_sql i))
+                done;
+                Alcotest.(check int) "all 20 on the latency tier" 20
+                  (counter "fleet.routed_latency_tier" - latency0);
+                Alcotest.(check (list int))
+                  "all 20 compiles on a single backend" [ 0; 0; 20 ]
+                  (List.sort compare (backend_compiles (stats_doc c))))));
     t "backend rejections surface with the original id and retry advice"
       (fun () ->
         with_fleet ~n:2
@@ -483,11 +521,6 @@ let qopt_exe =
   (* _build/default/test/test_main.exe -> _build/default/bin/qopt.exe *)
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/qopt.exe"
 
-let stats_doc c =
-  match request_exn c (Srv.Proto.Stats { id = Srv.Client.fresh_id c }) with
-  | Srv.Proto.R_stats (_, doc) -> doc
-  | _ -> Alcotest.fail "expected stats reply"
-
 let backend_fields doc =
   match J.member "backends" doc with
   | Some (J.Arr bs) ->
@@ -519,7 +552,7 @@ let with_spawned_fleet ~tag ~n ~probe_after_s f =
               {
                 exe = qopt_exe;
                 argv =
-                  [| "qopt"; "serve"; "-s"; p; "--workers"; "1"; "--trust-hints" |];
+                  [| "qopt"; "serve"; "-s"; p; "--workers"; "1" |];
               };
         })
       bpaths
@@ -671,10 +704,9 @@ let budget_tests =
   [
     t "a 30-table star through a router capped at 600 entries" (fun () ->
         (* The router's COTE pass runs under the cap: the estimate gets
-           the server's budget error, and the compile goes out with no
-           hint, so the trust-hints backend runs its own budgeted pass
-           and picks the greedy regime.  A hint would have admitted it as
-           DP and rescued it mid-compile (dp_budget_fallback). *)
+           the server's budget error, the compile goes to the throughput
+           tier, and the backend runs its own budgeted pass and picks the
+           greedy regime. *)
         let giant = W.Giant.schema () in
         let budget = O.Budget.make ~max_memo_entries:600 () in
         with_fleet ~n:1
@@ -683,7 +715,6 @@ let budget_tests =
               c with
               Srv.Server.schemas = c.Srv.Server.schemas @ [ ("giant", giant) ];
               budget;
-              trust_hints = true;
             })
           ~configure:(fun c ->
             {
@@ -752,14 +783,6 @@ let model_text doc =
   match J.member "model" doc with
   | Some (J.Obj _ as m) -> J.to_string m
   | _ -> Alcotest.fail "stats doc has no model"
-
-let estimate_s c sql =
-  let id = Srv.Client.fresh_id c in
-  match request_exn c (Srv.Proto.Estimate { id; sql; schema = None }) with
-  | Srv.Proto.R_estimate (_, e) -> e.Srv.Proto.e_predicted_s
-  | r ->
-    Alcotest.failf "expected estimate reply, got %s"
-      (J.to_string (Srv.Proto.reply_to_json r))
 
 let startup_tests =
   [
@@ -843,6 +866,38 @@ let startup_tests =
                    model alone. *)
                 Alcotest.(check (float 0.0)) "predicted_s"
                   (estimate_s r big_sql) (estimate_s b big_sql))));
+    t "a fleet backend prices a hinted compile itself" (fun () ->
+        (* A client that reaches a backend directly may send any hint; the
+           backend admits on its own COTE pass, so the reply's prediction
+           is the one its [estimate] gives, never the hint. *)
+        let path = next_sock "hintfleet" in
+        with_spawned [| "qopt"; "fleet"; "-s"; path; "--backends"; "1" |] path
+          (fun _ ->
+            let b = Srv.Client.connect (`Unix (path ^ ".b0")) in
+            Fun.protect
+              ~finally:(fun () -> Srv.Client.close b)
+              (fun () ->
+                let own = estimate_s b big_sql in
+                let id = Srv.Client.fresh_id b in
+                match
+                  request_exn b
+                    (Srv.Proto.Compile
+                       {
+                         id;
+                         sql = big_sql;
+                         schema = None;
+                         deadline_ms = None;
+                         estimate_hint_s = Some 123.0;
+                       })
+                with
+                | Srv.Proto.R_compile (_, body) ->
+                  Alcotest.(check (float 0.0)) "the backend's own prediction" own
+                    body.Srv.Proto.c_predicted_s;
+                  Alcotest.(check bool) "not the hint" true
+                    (body.Srv.Proto.c_predicted_s <> 123.0)
+                | r ->
+                  Alcotest.failf "expected compile reply, got %s"
+                    (J.to_string (Srv.Proto.reply_to_json r)))));
   ]
 
 let suite =

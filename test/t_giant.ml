@@ -287,36 +287,6 @@ let budget_tests =
 
 let regime_tests =
   [
-    t "fit recovers exact coefficients from noiseless observations" (fun () ->
-        let truth =
-          Cote.Greedy_model.make ~g_quant:1e-4 ~g_edge:2e-5 ~g_restart:5e-3 ()
-        in
-        let obs =
-          List.concat_map
-            (fun (q, e) ->
-              List.map
-                (fun r ->
-                  {
-                    Cote.Greedy_model.gob_quant = float_of_int q;
-                    gob_edges = float_of_int e;
-                    gob_restarts = float_of_int r;
-                    gob_seconds =
-                      Cote.Greedy_model.predict truth ~quantifiers:q ~edges:e
-                        ~restarts:r;
-                  })
-                [ 0; 2; 4 ])
-            [ (20, 19); (30, 435); (50, 1225); (24, 23) ]
-        in
-        let fitted = Cote.Greedy_model.fit obs in
-        let close name a b =
-          Alcotest.(check bool) name true (Float.abs (a -. b) <= 1e-9 *. (1.0 +. Float.abs a))
-        in
-        close "g_quant" truth.Cote.Greedy_model.g_quant
-          fitted.Cote.Greedy_model.g_quant;
-        close "g_edge" truth.Cote.Greedy_model.g_edge
-          fitted.Cote.Greedy_model.g_edge;
-        close "g_restart" truth.Cote.Greedy_model.g_restart
-          fitted.Cote.Greedy_model.g_restart);
     t "predict_fallback reads the recorded features" (fun () ->
         let b = W.Giant.block W.Giant.Star 20 in
         let fb = O.Optimizer.optimize_fallback env ~restarts:3 b in

@@ -1770,6 +1770,19 @@ let giant_chain_sql n =
   "SELECT g0.v1 FROM " ^ String.concat ", " tables ^ " WHERE "
   ^ String.concat " AND " joins
 
+(* A chain whose edges alternate between join columns j1 and j2, ordered
+   by g0.v1: its interesting orders make the compile keep more plans than
+   the §6.2 memory model counts for it. *)
+let giant_ordered_chain_sql n =
+  let tables = List.init n (fun i -> Printf.sprintf "g%d" i) in
+  let joins =
+    List.init (n - 1) (fun i ->
+        let col = if i mod 2 = 0 then "j1" else "j2" in
+        Printf.sprintf "g%d.%s = g%d.%s" i col (i + 1) col)
+  in
+  "SELECT g0.v1 FROM " ^ String.concat ", " tables ^ " WHERE "
+  ^ String.concat " AND " joins ^ " ORDER BY g0.v1"
+
 let giant_clique_sql n =
   let tables = List.init n (fun i -> Printf.sprintf "g%d" i) in
   let joins = ref [] in
@@ -1789,20 +1802,19 @@ let giant_star_sql n =
   "SELECT g0.v1 FROM " ^ String.concat ", " tables ^ " WHERE "
   ^ String.concat " AND " joins
 
-let with_budgeted_server ?(trust_hints = false) ?(max_memo_entries = 500) ?plan_cache f =
+let with_budgeted_server ?(max_memo_entries = 500) ?max_kept_plans ?plan_cache f =
   with_server
     ~configure:(fun c ->
       {
         c with
         Srv.Server.schemas =
           c.Srv.Server.schemas @ [ ("giant", giant_schema) ];
-        budget = O.Budget.make ~max_memo_entries ();
-        trust_hints;
+        budget = O.Budget.make ~max_memo_entries ?max_kept_plans ();
         plan_cache;
       })
     f
 
-let compile_regime c ?hint sql =
+let compile_regime c sql =
   let id = Srv.Client.fresh_id c in
   match
     request_exn c
@@ -1812,7 +1824,7 @@ let compile_regime c ?hint sql =
            sql;
            schema = Some "giant";
            deadline_ms = None;
-           estimate_hint_s = hint;
+           estimate_hint_s = None;
          })
   with
   | Srv.Proto.R_compile (_, b) -> b
@@ -1981,18 +1993,21 @@ let giant_regime_tests =
                     (J.to_string (Srv.Proto.reply_to_json r)));
                 Alcotest.(check bool) "both decided by the dry run" true
                   (aborts () >= before + 2))));
-    t "a trusted hint that blows the budget mid-compile is rescued" (fun () ->
-        (* --trust-hints skips the local budgeted estimate, so the job
-           enters as DP and hits the cap inside the worker: the reply must
-           come from the fallback, labelled dp_budget_fallback. *)
-        with_budgeted_server ~trust_hints:true (fun addr ->
+    t "a kept-plan cap the estimate passes but the compile blows is rescued"
+      (fun () ->
+        (* Estimate and compile build the same MEMO, so an entry cap that
+           the admission pass clears never fires in the worker.  The
+           estimate's kept-plan figure is the §6.2 memory model's, and it
+           under-counts this chain's kept plans: the estimate needs a cap
+           of 474, the compile 610.  Under a 540 cap the job enters as DP
+           and hits the cap inside the worker; the reply must come from
+           the fallback, labelled dp_budget_fallback. *)
+        with_budgeted_server ~max_kept_plans:540 (fun addr ->
             let c = Srv.Client.connect addr in
             Fun.protect
               ~finally:(fun () -> Srv.Client.close c)
               (fun () ->
-                let b =
-                  compile_regime c ~hint:1e-4 (giant_chain_sql 40)
-                in
+                let b = compile_regime c (giant_ordered_chain_sql 20) in
                 Alcotest.(check string) "regime" "dp_budget_fallback"
                   b.Srv.Proto.c_regime;
                 Alcotest.(check bool) "a plan came back" true
