@@ -262,14 +262,18 @@ let batch_corpus () =
 
 (* Level-parallel plan generation: the batch corpus compiled one query at
    a time, serially and with a pool of helper domains (one per CPU beyond
-   the caller's, at least one).
+   the caller's, at least one), and 3-6-table random warehouse blocks (20
+   of each size, the adhoc workload's compiles) the same way, five passes
+   a side, interleaved.
 
-     hotpath/parallel-identical       — 1.0 when both passes give equal
-                                        Batch fingerprints, else 0.0
-     hotpath/compile-helpers-speedup  — serial seconds / helper seconds
+     hotpath/parallel-identical            — 1.0 when both passes over both
+                                             corpora give equal Batch
+                                             fingerprints, else 0.0
+     hotpath/compile-helpers-speedup       — serial seconds / helper seconds
+     hotpath/small-compile-helpers-speedup — the same on the small blocks
 
-   The speed-up tracks the idle cores: on a single-core host the helper
-   time-slices the caller's CPU and the ratio sits near (or below) 1.0,
+   The speed-ups track the idle cores: on a single-core host the helper
+   time-slices the caller's CPU and the ratios sit near (or below) 1.0,
    while the identity row must hold everywhere. *)
 let parallel_gen_rows () =
   let blocks =
@@ -277,39 +281,61 @@ let parallel_gen_rows () =
       (function Qopt_par.Batch.Compile b -> Some b | Qopt_par.Batch.Estimate _ -> None)
       (batch_corpus ())
   in
+  let schema = W.Warehouse.schema ~partitioned:false in
+  let small =
+    List.concat_map
+      (fun tables -> W.Random_gen.blocks ~schema ~tables ~count:20)
+      [ 3; 4; 5; 6 ]
+  in
   let helpers = max 1 (min (Domain.recommended_domain_count () - 1) 3) in
   let pool = Qopt_par.Pool.create ~helpers ~first_slot:1 () in
-  let pass ?runner () =
+  let pass ?runner blocks =
     Qopt_util.Timer.time (fun () ->
         List.map
           (fun b -> Qopt_par.Batch.Compiled (O.Optimizer.optimize serial ?runner b))
           blocks)
   in
-  let serial_out, ts = pass () in
-  let par_out, tp =
-    Fun.protect
-      ~finally:(fun () -> Qopt_par.Pool.close pool)
-      (fun () -> pass ~runner:(Qopt_par.Pool.run pool) ())
-  in
-  let identical =
-    if
-      String.equal
-        (Qopt_par.Batch.fingerprint serial_out)
-        (Qopt_par.Batch.fingerprint par_out)
-    then 1.0
-    else 0.0
-  in
-  let rows =
-    [
-      ("hotpath/parallel-identical", identical);
-      ("hotpath/compile-helpers-speedup", ts /. tp);
-    ]
-  in
-  Format.printf "=== Level-parallel plan generation (%d compiles, %d helper%s) ===@."
-    (List.length blocks) helpers
-    (if helpers = 1 then "" else "s");
-  List.iter (fun (name, v) -> Format.printf "%-36s %16.2f@." name v) rows;
-  rows
+  let fingerprint = Qopt_par.Batch.fingerprint in
+  Fun.protect
+    ~finally:(fun () -> Qopt_par.Pool.close pool)
+    (fun () ->
+      let runner = Qopt_par.Pool.run pool in
+      let serial_out, ts = pass blocks in
+      let par_out, tp = pass ~runner blocks in
+      let small_serial, _ = pass small in
+      let small_par, _ = pass ~runner small in
+      let small_ts = ref 0.0 and small_tp = ref 0.0 in
+      for i = 1 to 5 do
+        let add r (_, t) = r := !r +. t in
+        if i mod 2 = 0 then begin
+          add small_ts (pass small);
+          add small_tp (pass ~runner small)
+        end
+        else begin
+          add small_tp (pass ~runner small);
+          add small_ts (pass small)
+        end
+      done;
+      let identical =
+        if
+          String.equal (fingerprint serial_out) (fingerprint par_out)
+          && String.equal (fingerprint small_serial) (fingerprint small_par)
+        then 1.0
+        else 0.0
+      in
+      let rows =
+        [
+          ("hotpath/parallel-identical", identical);
+          ("hotpath/compile-helpers-speedup", ts /. tp);
+          ("hotpath/small-compile-helpers-speedup", !small_ts /. !small_tp);
+        ]
+      in
+      Format.printf
+        "=== Level-parallel plan generation (%d + %d compiles, %d helper%s) ===@."
+        (List.length blocks) (List.length small) helpers
+        (if helpers = 1 then "" else "s");
+      List.iter (fun (name, v) -> Format.printf "%-38s %16.2f@." name v) rows;
+      rows)
 
 let batch_rows () =
   let corpus = batch_corpus () in

@@ -42,16 +42,16 @@ let orders_for_table block q =
    quantifier outside the entry. *)
 let future_join_use block equiv ~tables c =
   List.exists
-    (fun p ->
-      match Pred.join_cols p with
-      | None -> false
-      | Some (l, r) ->
+    (function
+      | Pred.Eq_join (l, r) when l.Colref.q <> r.Colref.q ->
         (Bitset.mem l.Colref.q tables
         && (not (Bitset.mem r.Colref.q tables))
         && Equiv.same equiv l c)
         || (Bitset.mem r.Colref.q tables
            && (not (Bitset.mem l.Colref.q tables))
-           && Equiv.same equiv r c))
+           && Equiv.same equiv r c)
+      | Pred.Eq_join _ | Pred.Local_cmp _ | Pred.Local_in _ | Pred.Expensive _ ->
+        false)
     block.Query_block.preds
 
 let order_retired block equiv ~tables (t : Order_prop.t) =

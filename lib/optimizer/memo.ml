@@ -115,6 +115,8 @@ type t = {
   tbl : (int, entry) Hashtbl.t;
   by_size : bucket array; (* creation order per size *)
   intern : Prop_id.t;
+  q_orders : Order_prop.t list option array;
+      (* per quantifier: [Interesting.orders_for_table], derived once *)
   mutable kept : int; (* running kept-plan count across all entries *)
   mutable sel : Cardinality.ctx option; (* created by the first estimate *)
   sts : stats;
@@ -139,6 +141,7 @@ let create blk =
     tbl = Hashtbl.create 256;
     by_size = Array.init (n + 1) (fun _ -> { items = [||]; len = 0 });
     intern = Prop_id.create ();
+    q_orders = Array.make n None;
     kept = 0;
     sel = None;
     sts = fresh_stats ();
@@ -274,41 +277,48 @@ let width_of t e =
     w
   end
 
+(* The interesting orders applicable to (and unretired at) the entry, and
+   their canonical (equivalence-normalized, groupings sorted) column lists
+   for cheap per-plan signatures: derived together, once per entry. *)
+let orders_for_table t q =
+  match t.q_orders.(q) with
+  | Some l -> l
+  | None ->
+    let l = Interesting.orders_for_table t.blk q in
+    t.q_orders.(q) <- Some l;
+    l
+
+let derive_applicable t e =
+  let equiv = equiv_of t e in
+  let candidates =
+    Bitset.fold
+      (fun q acc ->
+        List.fold_left
+          (fun acc o ->
+            if Interesting.order_retired t.blk equiv ~tables:e.tables o then acc
+            else o :: acc)
+          acc
+          (orders_for_table t q))
+      e.tables []
+  in
+  let kept = Order_prop.dedup_canonical equiv (List.rev candidates) in
+  let orders = List.map fst kept in
+  e.app_orders_cache <- Some orders;
+  e.app_canon_cache <-
+    Some (List.map (fun ((o : Order_prop.t), cols) -> (o.Order_prop.kind, cols)) kept);
+  orders
+
 let applicable_orders t e =
   match e.app_orders_cache with
   | Some l -> l
-  | None ->
-    let equiv = equiv_of t e in
-    let l =
-      Bitset.fold
-        (fun q acc ->
-          List.fold_left
-            (fun acc o ->
-              if Interesting.order_retired t.blk equiv ~tables:e.tables o then acc
-              else Order_prop.insert_dedup equiv o acc)
-            acc
-            (Interesting.orders_for_table t.blk q))
-        e.tables []
-    in
-    e.app_orders_cache <- Some l;
-    l
+  | None -> derive_applicable t e
 
-(* Canonical (equivalence-normalized, groupings sorted) column lists of the
-   applicable interesting orders — precomputed so per-plan signatures avoid
-   equivalence lookups. *)
 let applicable_canon t e =
   match e.app_canon_cache with
   | Some l -> l
   | None ->
-    let equiv = equiv_of t e in
-    let l =
-      List.map
-        (fun (o : Order_prop.t) ->
-          (o.Order_prop.kind, Order_prop.canonical equiv o))
-        (applicable_orders t e)
-    in
-    e.app_canon_cache <- Some l;
-    l
+    ignore (derive_applicable t e);
+    Option.get e.app_canon_cache
 
 let rec is_prefix want have =
   match (want, have) with

@@ -121,9 +121,9 @@ val fork : t -> t
     own {!kept_plans} and {!stats}, which start at zero.  A view takes a
     lock around the property table (ids come out in another order than a
     serial run's, and are only ever compared for equality) and around
-    {!best_plan_satisfying}.  A task may insert only into the entries it
-    owns, and may read the entries of smaller sizes, which are finished;
-    it never creates entries. *)
+    {!best_plan_satisfying}.  Tasks read the entries of smaller sizes,
+    which are finished; at most one task at a time inserts into an entry
+    of the level; no task creates entries. *)
 
 val absorb : t -> t -> unit
 (** [absorb parent view] adds the view's kept plans, generated join plans

@@ -74,6 +74,31 @@ let insert_dedup equiv t list =
   in
   loop [] list
 
+let dedup_canonical equiv orders =
+  match orders with
+  | [] -> []
+  | o0 :: _ ->
+    let kept = Array.make (List.length orders) (o0, []) in
+    let len = ref 0 in
+    List.iter
+      (fun o ->
+        let c = canonical equiv o in
+        let rec find i =
+          if i = !len then begin
+            kept.(i) <- (o, c);
+            incr len
+          end
+          else
+            let x, cx = kept.(i) in
+            if Colref.list_equal cx c then begin
+              if kind_rank x.kind < kind_rank o.kind then kept.(i) <- (o, c)
+            end
+            else find (i + 1)
+        in
+        find 0)
+      orders;
+    List.init !len (fun i -> kept.(i))
+
 let pp_kind ppf = function
   | Join_key -> Format.pp_print_string ppf "jk"
   | Grouping -> Format.pp_print_string ppf "gb"

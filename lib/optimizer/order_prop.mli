@@ -49,6 +49,12 @@ val insert_dedup : Equiv.t -> t -> t list -> t list
     {!equal_under}) is present.  When merging, a non-[Join_key] kind wins so
     that retirement stays conservative. *)
 
+val dedup_canonical : Equiv.t -> t list -> (t * Colref.t list) list
+(** [List.fold_left (fun acc o -> insert_dedup equiv o acc) [] orders],
+    each kept order paired with its {!canonical} columns.  Every order is
+    canonicalized once, where the fold re-canonicalizes both sides of
+    every comparison. *)
+
 val pp : Format.formatter -> t -> unit
 
 val pp_physical : Format.formatter -> physical -> unit

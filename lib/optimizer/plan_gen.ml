@@ -481,7 +481,10 @@ let gen_direction t event ~(x : Memo.entry) ~(y : Memo.entry) =
     Obs.Counter.add (m_of_method Join_method.HSJN) n_hsjn;
     nljn_plans @ mgjn_plans @ hsjn_plans
 
-let on_join t (event : Enumerator.join_event) =
+(* The costing half of a join event: both directions' plans, with their
+   normalized-order ids, in generation order.  It reads only the event's
+   finished inputs and the result entry's logical caches. *)
+let cost_join t (event : Enumerator.join_event) =
   let plans_lr =
     if event.Enumerator.left_outer_ok then
       gen_direction t event ~x:event.Enumerator.left ~y:event.Enumerator.right
@@ -492,10 +495,16 @@ let on_join t (event : Enumerator.join_event) =
       gen_direction t event ~x:event.Enumerator.right ~y:event.Enumerator.left
     else []
   in
+  plans_lr @ plans_rl
+
+(* The insertion half: the plans into the result entry, in order. *)
+let insert_join t (event : Enumerator.join_event) plans =
   Instrument.save t.instr (fun () ->
       List.iter
         (fun (p, norm) -> Memo.insert_plan ~norm t.memo event.Enumerator.result p)
-        (plans_lr @ plans_rl))
+        plans)
+
+let on_join t event = insert_join t event (cost_join t event)
 
 (* Materialized-view matching: every new MEMO entry is tested against each
    registered view; a hit contributes a substitute scan of the materialized
@@ -549,52 +558,132 @@ let m_parallel_levels =
 
 type runner = int -> (int -> unit) -> unit
 
-(* A task's generator: the parent's environment, context and instrument
-   (its spans record on the running domain's shard slot), with the
-   counters it bumps — MEMO view, bound-prunable — starting at zero. *)
+(* A costing task's generator: the parent's environment, context and
+   instrument (its spans record on the running domain's shard slot), with
+   the counters it bumps — MEMO view, bound-prunable — starting at zero. *)
 let fork t = { t with memo = Memo.fork t.memo; prunable = 0 }
 
 let absorb t child =
   Memo.absorb t.memo child.memo;
   t.prunable <- t.prunable + child.prunable
 
-(* Below these sizes a level is generated serially: waking a helper and
-   meeting at the barrier costs more than the helper can take over.  On
-   3-6-table warehouse queries with one helper (2 vCPUs), splitting levels
-   from 2 events on slowed 3-table compiles by up to 13%; from 8 events on,
-   no size was more than 1% slower and 6-table compiles ran 1.45-1.56x
-   faster. *)
-let min_split_events = 8
+(* Below this many events a level is generated serially.  A single event
+   leaves nothing to overlap; from two events on, 3-table compiles ran
+   1.26-1.42x faster with one helper on a warm 2-vCPU host (EXPERIMENTS.md,
+   "Every DP level on both cores"). *)
+let min_split_events = 2
 
-let min_split_entries = 2
+(* The result entry's logical properties, which every costing task of the
+   entry reads: computed once, before the tasks start, so that no two
+   domains fill the same cache. *)
+let prepare_result t (e : Memo.entry) =
+  Instrument.card t.instr (fun () ->
+      ignore (Memo.equiv_of t.memo e);
+      ignore (Memo.card_of t.memo Cardinality.Full e));
+  ignore (Memo.width_of t.memo e)
+
+(* An event costed ahead of its turn: its plans and the view its costing
+   counted into. *)
+type costed = {
+  view : t;
+  plans : (Plan.t * int) list;
+}
 
 let flush t ~run (events : Enumerator.join_event array) =
-  (* Group the events by result entry: groups in order of first
-     appearance (the entries' creation order), events in serial order
-     within a group. *)
-  let ids = Hashtbl.create 64 in
-  let owner =
-    Array.map
-      (fun (ev : Enumerator.join_event) ->
-        let key = Bitset.to_int ev.Enumerator.result.Memo.tables in
-        match Hashtbl.find_opt ids key with
-        | Some g -> g
-        | None ->
-          let g = Hashtbl.length ids in
-          Hashtbl.add ids key g;
-          g)
-      events
-  in
-  let n = Hashtbl.length ids in
-  if Array.length events < min_split_events || n < min_split_entries then
-    Array.iter (on_join t) events
+  let n = Array.length events in
+  if n < min_split_events then Array.iter (on_join t) events
   else begin
-    let groups = Array.make n [] in
-    for i = Array.length events - 1 downto 0 do
-      groups.(owner.(i)) <- events.(i) :: groups.(owner.(i))
-    done;
-    let forks = Array.init n (fun _ -> fork t) in
-    run n (fun g -> List.iter (on_join forks.(g)) groups.(g));
-    Array.iter (absorb t) forks;
+    (* Group the events by result entry, in order of first appearance
+       (the entries' creation order). *)
+    let ids = Hashtbl.create 64 in
+    let group =
+      Array.map
+        (fun (ev : Enumerator.join_event) ->
+          let key = Bitset.to_int ev.Enumerator.result.Memo.tables in
+          match Hashtbl.find_opt ids key with
+          | Some g -> g
+          | None ->
+            let g = Hashtbl.length ids in
+            Hashtbl.add ids key g;
+            prepare_result t ev.Enumerator.result;
+            g)
+        events
+    in
+    let groups = Hashtbl.length ids in
+    (* Each entry's events, chained in serial order: [cursor.(g)] starts
+       at entry [g]'s first event, [next.(i)] is the one after event [i]. *)
+    let cursor = Array.make groups (-1) and last = Array.make groups (-1) in
+    let next = Array.make n (-1) in
+    Array.iteri
+      (fun i g ->
+        if cursor.(g) < 0 then cursor.(g) <- i else next.(last.(g)) <- i;
+        last.(g) <- i)
+      group;
+    (* Under [lock]: per entry, its next event to insert ([cursor]) and
+       whether a domain is inserting into it ([busy]); per event, its
+       plans while they wait for their turn ([slots]); the counters of
+       the inserted events ([acc]); the lowest failing event. *)
+    let lock = Mutex.create () in
+    let busy = Array.make groups false in
+    let slots = Array.make n None in
+    let acc = fork t in
+    let failure = ref None in
+    let stop = Atomic.make false in
+    let fail i e =
+      let bt = Printexc.get_raw_backtrace () in
+      Mutex.protect lock (fun () ->
+          match !failure with
+          | Some (j, _, _) when j < i -> ()
+          | Some _ | None -> failure := Some (i, e, bt));
+      Atomic.set stop true
+    in
+    (* The ordered hand-off: whoever costs an entry's next event inserts
+       it, and every costed event queued behind it, outside the lock.  A
+       costing that finishes while the entry's next event is still being
+       costed, or while another domain inserts into the entry, leaves its
+       plans in its slot.  So a plan waits only for events already being
+       costed, and one that insertion drops still dies young.  Called with
+       [lock] held and [busy.(g)] set, [c] being event [i]'s plans. *)
+    let rec insert_from g i c =
+      slots.(i) <- None;
+      Mutex.unlock lock;
+      match insert_join c.view events.(i) c.plans with
+      | exception e -> fail i e (* [busy.(g)] stays set: the entry stops *)
+      | () -> (
+        Mutex.lock lock;
+        absorb acc c.view;
+        let j = next.(i) in
+        cursor.(g) <- j;
+        match if j >= 0 then slots.(j) else None with
+        | Some c -> insert_from g j c
+        | None ->
+          busy.(g) <- false;
+          Mutex.unlock lock)
+    in
+    (* Every task claims the next event in serial order, so an entry's
+       plans wait only for events already being costed.  After a failure
+       no event is claimed; the events below it were all claimed before,
+       so the lowest failing index is the one a serial flush raises. *)
+    let claimed = Atomic.make 0 in
+    run n (fun _ ->
+        if not (Atomic.get stop) then begin
+          let i = Atomic.fetch_and_add claimed 1 in
+          let view = fork t in
+          match cost_join view events.(i) with
+          | exception e -> fail i e
+          | plans ->
+            let g = group.(i) in
+            Mutex.lock lock;
+            if busy.(g) || cursor.(g) <> i then begin
+              slots.(i) <- Some { view; plans };
+              Mutex.unlock lock
+            end
+            else begin
+              busy.(g) <- true;
+              insert_from g i { view; plans }
+            end
+        end);
+    Option.iter (fun (_, e, bt) -> Printexc.raise_with_backtrace e bt) !failure;
+    absorb t acc;
     Obs.Counter.incr m_parallel_levels
   end

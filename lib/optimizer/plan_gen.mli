@@ -64,11 +64,17 @@ type runner = int -> (int -> unit) -> unit
 
 val flush : t -> run:runner -> Enumerator.join_event array -> unit
 (** The plan-generation flush of one DP size level ({!Enumerator.run}'s
-    [flush]).  Each result entry's events form one task, run in their
-    serial order by whichever domain claims the task: every plan list
-    comes out exactly as serial generation leaves it.  A task counts into
-    its own {!Memo.fork} view; the views' counters (generated and kept
-    plans, pruned, prunable) are added into the MEMO's after the
-    barrier.  A level with fewer than 8 events or a single result entry
-    is generated serially, in event order.  Each level that is split bumps
-    the [optimizer.parallel_levels] counter. *)
+    [flush]), in two steps that overlap.  Costing: one task per join
+    event, on any domain, claimed in serial event order; it generates
+    both directions' plans, reading only finished smaller entries and the
+    result entry's logical properties (computed before the tasks start),
+    and counts into its own {!Memo.fork} view.
+    Insertion: each result entry takes its events' plans in serial event
+    order, one domain at a time, as soon as the entry's next event is
+    costed (an ordered hand-off), so an event's plans wait only for
+    events already being costed.  Every plan list, counter and reply is
+    bit-identical to a serial compile; the views' counters are added into
+    the MEMO's after the barrier.  When events raise, the one of the
+    lowest index is re-raised, as a serial flush would raise it.  A level
+    of a single event is generated serially.  Each level that is
+    split bumps the [optimizer.parallel_levels] counter. *)

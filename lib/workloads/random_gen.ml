@@ -216,3 +216,26 @@ let generate ?(seed = 42) ?(count = 12) ?(complexity = 12) ~schema () =
         Workload.query name (to_block ~name rng schema proto))
   in
   Workload.make ~name:"random" ~schema queries
+
+let blocks ~schema ~tables ~count =
+  let rec go seed acc k =
+    if k = count then List.rev acc
+    else if seed > 10_000 then
+      invalid_arg
+        (Printf.sprintf "Random_gen.blocks: no %d %d-table blocks" count tables)
+    else begin
+      let acc = ref acc and k = ref k in
+      List.iter
+        (fun (q : Workload.query) ->
+          O.Query_block.iter_blocks
+            (fun b ->
+              if !k < count && O.Query_block.n_quantifiers b = tables then begin
+                acc := b :: !acc;
+                incr k
+              end)
+            q.Workload.block)
+        (generate ~seed ~complexity:10 ~schema ()).Workload.queries;
+      go (seed + 1) !acc !k
+    end
+  in
+  go 1 [] 0

@@ -22,3 +22,13 @@ val generate :
 (** [generate ~schema ()] builds [count] (default 12) queries of increasing
     complexity (up to ~[complexity] tables per query, default 12) over the
     schema — the paper uses the real1 schema. *)
+
+val blocks :
+  schema:Qopt_catalog.Schema.t ->
+  tables:int ->
+  count:int ->
+  Qopt_optimizer.Query_block.t list
+(** [count] query blocks of exactly [tables] quantifiers (subquery blocks
+    included), in the order the seeds 1, 2, ... of {!generate} (complexity
+    10) produce them.  Deterministic; raises [Invalid_argument] when the
+    first 10,000 seeds hold fewer. *)

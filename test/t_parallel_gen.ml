@@ -1,8 +1,9 @@
 (* The parallel plan-generation flush against the serial path.
 
-   With a task runner, each DP size level is enumerated first and its join
-   events are then generated one result entry per task, on whichever
-   domain claims the entry.  The contract is a bit-identical MEMO: every
+   With a task runner, each DP size level is enumerated first; its join
+   events are then costed one per task, on whichever domain claims the
+   event, and each result entry's plans are inserted in serial event
+   order.  The contract is a bit-identical MEMO: every
    entry's kept-plan list in the same order, the same best plan with the
    same cost and cardinality bits, and the same counters — at 0, 1 and 3
    helpers, with and without a MEMO budget, against the serial pass and
@@ -251,6 +252,20 @@ let random_property =
                  check_workload [ (1, p1); (3, p3) ] w;
                  true))))
 
+(* DP levels that went wide while [f] ran. *)
+let wide_levels f =
+  Qopt_obs.Control.with_enabled true (fun () ->
+      let count () =
+        Qopt_obs.Registry.counter_value Qopt_obs.Registry.default
+          "optimizer.parallel_levels"
+      in
+      let before = count () in
+      f ();
+      count () - before)
+
+let warehouse_blocks ~count tables =
+  W.Random_gen.blocks ~schema:(W.Warehouse.schema ~partitioned:false) ~tables ~count
+
 (* A task runner that fails tasks [from] and up, after running them. *)
 let failing_runner pool ~from n f =
   P.Pool.run pool n (fun i ->
@@ -301,28 +316,168 @@ let behaviour_tests =
               giant_blocks));
     t "levels go wide only with a runner, and only past the size threshold"
       (fun () ->
-        let wide f =
-          Qopt_obs.Control.with_enabled true (fun () ->
-              let before =
-                Qopt_obs.Registry.counter_value Qopt_obs.Registry.default
-                  "optimizer.parallel_levels"
-              in
-              f ();
-              Qopt_obs.Registry.counter_value Qopt_obs.Registry.default
-                "optimizer.parallel_levels"
-              - before)
-        in
         let big = W.Giant.block ~seed:5 W.Giant.Cycle 20 in
-        let small = Helpers.chain 3 in
+        let small = Helpers.chain 2 in
         with_pool 1 (fun pool ->
             let runner = P.Pool.run pool in
             Alcotest.(check int) "serial" 0
-              (wide (fun () -> ignore (O.Optimizer.optimize O.Env.serial big)));
+              (wide_levels (fun () -> ignore (O.Optimizer.optimize O.Env.serial big)));
             Alcotest.(check bool) "20-table cycle with a runner" true
-              (wide (fun () -> ignore (O.Optimizer.optimize O.Env.serial ~runner big))
+              (wide_levels (fun () ->
+                   ignore (O.Optimizer.optimize O.Env.serial ~runner big))
               > 0);
-            Alcotest.(check int) "3-table chain with a runner" 0
-              (wide (fun () -> ignore (O.Optimizer.optimize O.Env.serial ~runner small)))));
+            Alcotest.(check int) "2-table chain with a runner" 0
+              (wide_levels (fun () ->
+                   ignore (O.Optimizer.optimize O.Env.serial ~runner small)))));
+    t "a MEMO-entry cap on small levels raises the serial pass's Budget.Exceeded"
+      (fun () ->
+        with_pool 1 (fun p1 ->
+            with_pool 3 (fun p3 ->
+                List.iter
+                  (fun tables ->
+                    List.iteri
+                      (fun i block ->
+                        let entries =
+                          (O.Optimizer.optimize O.Env.serial block).O.Optimizer.entries
+                        in
+                        let capped =
+                          O.Budget.make ~max_memo_entries:(max (tables + 1) (entries / 2)) ()
+                        in
+                        let name = Printf.sprintf "%d tables #%d" tables i in
+                        let serial = outcome O.Env.serial ~budget:capped block in
+                        Alcotest.(check bool) (name ^ ": the cap bites") true
+                          (String.length serial >= 6 && String.sub serial 0 6 = "budget");
+                        List.iter
+                          (fun pool ->
+                            Alcotest.(check string) name serial
+                              (outcome O.Env.serial ~budget:capped
+                                 ~runner:(P.Pool.run pool) block))
+                          [ p1; p3 ])
+                      (warehouse_blocks ~count:3 tables))
+                  [ 6; 8; 10 ])));
+    t "a costing task that raises: the lowest event index, and the pool stays usable"
+      (fun () ->
+        (* In the parallel env, event [k] of level 3 and every later one
+           raise: one poison makes the skew lookup miss a column
+           (Not_found), the other reads a predicate id past the block's
+           (Invalid_argument).  Whichever event [k] carries is the
+           exception a serial flush raises, at any helper count. *)
+        let env = O.Env.parallel ~nodes:4 in
+        let block = W.Giant.block ~seed:5 W.Giant.Cycle 20 in
+        let no_column (ev : O.Enumerator.join_event) =
+          let q = Qopt_util.Bitset.min_elt ev.O.Enumerator.left.O.Memo.tables in
+          let q' = Qopt_util.Bitset.min_elt ev.O.Enumerator.right.O.Memo.tables in
+          {
+            ev with
+            O.Enumerator.preds =
+              [ O.Pred.Eq_join (O.Colref.make q "no_such_column", O.Colref.make q' "j1") ];
+            pred_ids = [];
+          }
+        in
+        let no_pred (ev : O.Enumerator.join_event) =
+          { ev with O.Enumerator.pred_ids = [ 1_000_000 ] }
+        in
+        let pass ~run ~k ~first ~rest =
+          let memo = O.Memo.create block in
+          let gen = O.Plan_gen.create env memo (O.Instrument.create ()) in
+          let flush (evs : O.Enumerator.join_event array) =
+            let level = Qopt_util.Bitset.cardinal evs.(0).O.Enumerator.result.O.Memo.tables in
+            let evs =
+              if level <> 3 then evs
+              else
+                Array.mapi
+                  (fun i ev -> if i < k then ev else if i = k then first ev else rest ev)
+                  evs
+            in
+            O.Plan_gen.flush gen ~run evs
+          in
+          match
+            O.Enumerator.run ~flush ~knobs:O.Knobs.default
+              ~card_of:(O.Plan_gen.card_of gen) memo (O.Plan_gen.consumer gen)
+          with
+          | () -> "no exception"
+          | exception Not_found -> "Not_found"
+          | exception Invalid_argument m -> "Invalid_argument " ^ m
+        in
+        let in_order n f =
+          for i = 0 to n - 1 do
+            f i
+          done
+        in
+        with_pool 3 (fun pool ->
+            List.iter
+              (fun (what, first, rest, expect) ->
+                List.iter
+                  (fun k ->
+                    let serial = pass ~run:in_order ~k ~first ~rest in
+                    Alcotest.(check string) (what ^ ": serial raises") expect serial;
+                    for _ = 1 to 5 do
+                      Alcotest.(check string)
+                        (Printf.sprintf "%s at event %d" what k)
+                        serial
+                        (pass ~run:(P.Pool.run pool) ~k ~first ~rest)
+                    done)
+                  [ 0; 5; 30 ])
+              [
+                ("missing column first", no_column, no_pred, "Not_found");
+                ( "bad predicate id first",
+                  no_pred,
+                  no_column,
+                  "Invalid_argument index out of bounds" );
+              ];
+            Alcotest.(check string) "next compile on the same pool"
+              (outcome env block)
+              (outcome env ~runner:(P.Pool.run pool) block)));
+  ]
+
+let small_level_tests =
+  [
+    t "single-entry top levels: stars of 3-8 tables, 0/1/3 helpers" (fun () ->
+        with_pools (fun pools ->
+            for n = 3 to 8 do
+              let block = Helpers.star_block n in
+              let name = Printf.sprintf "star %d" n in
+              check_block pools O.Env.serial name block;
+              (* Level k of an n-star has C(n-1, k-1) (k - 1) events, its
+                 top level n - 1 of them into a single result entry: all
+                 n - 1 levels go wide. *)
+              let _, pool = List.nth pools 1 in
+              Alcotest.(check int) (name ^ ": wide levels") (n - 1)
+                (wide_levels (fun () ->
+                     ignore
+                       (O.Optimizer.optimize O.Env.serial ~runner:(P.Pool.run pool)
+                          block)))
+            done));
+    t "levels of 2-7 events: chains of 3-5 tables, 0/1/3 helpers" (fun () ->
+        with_pools (fun pools ->
+            List.iter
+              (fun (name, wide, block) ->
+                check_block pools O.Env.serial name block;
+                let _, pool = List.nth pools 1 in
+                Alcotest.(check int) (name ^ ": wide levels") wide
+                  (wide_levels (fun () ->
+                       ignore
+                         (O.Optimizer.optimize O.Env.serial ~runner:(P.Pool.run pool)
+                            block))))
+              (* Level k of an n-chain has (n - k + 1) (k - 1) events: 2
+                 and 2 at 3 tables, 3, 4 and 3 at 4, 4, 6, 6 and 4 at 5;
+                 every level goes wide. *)
+              [
+                ("chain 3", 2, Helpers.chain 3);
+                ("chain 4, ORDER BY", 3, Helpers.chain ~order_by:true 4);
+                ("chain 4, GROUP BY, extra preds", 3, Helpers.chain ~group_by:true ~extra:1 4);
+                ("chain 5", 4, Helpers.chain 5);
+              ]));
+    t "random warehouse blocks of 2-10 tables: 0/1/3 helpers equal serial" (fun () ->
+        with_pools (fun pools ->
+            for tables = 2 to 10 do
+              List.iteri
+                (fun i block ->
+                  check_block pools O.Env.serial
+                    (Printf.sprintf "%d tables #%d" tables i)
+                    block)
+                (warehouse_blocks ~count:4 tables)
+            done));
   ]
 
 let pool_tests =
@@ -362,4 +517,5 @@ let pool_tests =
             Alcotest.(check int) "submitter b" expect (Domain.join b)));
   ]
 
-let suite = pool_tests @ corpus_tests @ [ random_property ] @ behaviour_tests
+let suite =
+  pool_tests @ corpus_tests @ [ random_property ] @ behaviour_tests @ small_level_tests
